@@ -5,10 +5,21 @@ the probability that the subset is open.  A table is a valid space when
 the empty and full subsets sit at 1 and the value of any union or
 intersection dominates the minimum value of the parts.  On a finite
 ground set the arbitrary-family axioms reduce to their two-set forms:
-the two-set inequality gives the k-set inequality by induction on k, so
-the O(4^n) pair scan of :func:`verify_pairwise` decides them, and
+the two-set inequality gives the k-set inequality by induction on k, and
 :func:`verify_exhaustive` re-checks that reduction by enumerating every
 family outright.
+
+A space is fixed by its n x n separation matrix
+T(x, y) = max{p(A) : x in A, y not in A}: p(S) is the minimum of T(x, y)
+over x in S and y outside S (the graded form of the correspondence
+between finite topologies and preorders).  For a subset S and points
+x in S, y outside S, pick A(x, y) attaining T(x, y); S is the union over
+x of the intersection over y of the A(x, y), so p(S) is at least that
+minimum, and A = S gives at most.  Reading any table through its matrix
+and back, recon(T_w), always yields a valid space, and the least one
+dominating w.  Hence an in-range table is valid exactly when it equals
+recon(T_w), which :func:`verify_pairwise` and :func:`complete` check and
+build in O(n^2 2^n).
 
 Probabilities are binary64 values that are only ever compared, copied,
 min-ed and max-ed, never combined arithmetically, so they survive every
@@ -31,7 +42,7 @@ from .errors import (
 )
 from .masks import check_ground_size, check_mask, full_mask
 
-# Documented caps: the pair scan is O(4^n), the family scan O(2^(2^n)).
+# Documented caps: listing violations is O(4^n), the family scan O(2^(2^n)).
 PAIRWISE_CAP = 13
 EXHAUSTIVE_CAP = 4
 
@@ -68,7 +79,9 @@ class PSpace(WeightTable):
     Constructing one directly performs no axiom check; instances coming
     out of :func:`complete`, :func:`from_topology`, :func:`as_pspace`,
     subspace construction or level-chain reconstruction are valid by
-    construction (and assert so in debug runs).
+    construction (reconstruction and subspaces assert so in debug runs).
+    :func:`as_pspace` decides validity in O(n^2 2^n) through the
+    separation matrix.
     """
 
 
@@ -147,8 +160,47 @@ def _range_pair(v: float) -> tuple[float, float]:
     return 1.0, v  # NaN
 
 
+def _out_of_range(t: np.ndarray) -> np.ndarray:
+    """Ascending masks whose value is outside [0, 1], NaN included."""
+    return np.nonzero(~((t >= 0.0) & (t <= 1.0)))[0]
+
+
+def _pair_views(table: np.ndarray, n: int):
+    """Yield (x, y, view) for x != y, the view holding the A with x in A, y not."""
+    cube = table.reshape((2,) * n)  # axis n-1-i is bit i of the mask
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                index = [slice(None)] * n
+                index[n - 1 - x] = 1
+                index[n - 1 - y] = 0
+                yield x, y, cube[(*index, ...)]  # ... keeps n = 2 a view
+
+
+def _separation(t: np.ndarray, n: int) -> np.ndarray:
+    """T[x, y] = max{t[A] : x in A, y not in A}; the diagonal is unused."""
+    sep = np.zeros((n, n))
+    for x, y, view in _pair_views(t, n):
+        sep[x, y] = view.max()
+    return sep
+
+
+def _recon(sep: np.ndarray, n: int) -> np.ndarray:
+    """The table S -> min{sep[x, y] : x in S, y not in S}, 1 on the empty and full sets."""
+    out = np.full(1 << n, np.inf)
+    for x, y, view in _pair_views(out, n):
+        np.minimum(view, sep[x, y], out=view)
+    out[0] = out[-1] = 1.0  # the only subsets with no (x, y) pair
+    return out
+
+
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
-    """Scan all subset pairs for axiom violations; empty result == valid space.
+    """List the axiom violations of ``w``; empty result == valid space.
+
+    Validity is decided in O(n^2 2^n): an in-range table with its boundary
+    at 1 is valid exactly when it equals its reconstruction from its
+    separation matrix.  Only an invalid table goes on to the O(4^n) scan
+    of all subset pairs that lists its violations.
 
     Report order is deterministic: range (ascending mask), boundary
     (empty then full), union pairs in lexicographic (A, B) order with
@@ -161,8 +213,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     size = t.size
     reports: list[ViolationReport] = []
 
-    in_range = (t >= 0.0) & (t <= 1.0)
-    for mask in np.nonzero(~in_range)[0]:
+    for mask in _out_of_range(t):
         required, actual = _range_pair(float(t[mask]))
         reports.append(ViolationReport("range", int(mask), None, required, actual))
 
@@ -170,6 +221,9 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
         v = float(t[mask])
         if not v >= 1.0:  # not >=, so NaN is reported too
             reports.append(ViolationReport("boundary", mask, None, 1.0, v))
+
+    if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
+        return reports
 
     idx = np.arange(size, dtype=np.int64)
     unions: list[ViolationReport] = []
@@ -218,8 +272,7 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
     fam_count = 1 << size
     reports: list[FamilyViolation] = []
 
-    in_range = (t >= 0.0) & (t <= 1.0)
-    for mask in np.nonzero(~in_range)[0]:
+    for mask in _out_of_range(t):
         required, actual = _range_pair(float(t[mask]))
         reports.append(FamilyViolation("range", (int(mask),), required, actual))
 
@@ -254,34 +307,24 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
 
 
 def complete(w: WeightTable) -> PSpace:
-    """The pointwise-least valid space dominating ``w``.
+    """The pointwise-least valid space dominating ``w``, in O(n^2 2^n).
 
-    Raises the boundary entries to 1, then repeatedly raises ``table[A|B]``
-    and ``table[A&B]`` to ``min(table[A], table[B])`` over all pairs until a
-    full pass changes nothing.  Values only move up and are always drawn
-    from the input's value set plus 1, so the loop terminates at the least
-    fixpoint; any fair update schedule reaches the same table.
+    It is the reconstruction of ``w`` from its separation matrix: every
+    such reconstruction is valid and dominates ``w``, and any valid space
+    dominating ``w`` has a matrix at least as large, so it dominates the
+    reconstruction too.  Values are drawn from the input's values plus 1,
+    with -0.0 read as 0.0.  Raises :class:`ProbabilityOutOfRange` on any
+    value outside [0, 1], NaN included.
     """
     if w.n > PAIRWISE_CAP:
         raise CapExceeded(f"completion capped at n = {PAIRWISE_CAP}, got {w.n}")
     t = np.array(w.table, dtype=np.float64)
-    size = t.size
-    t[0] = 1.0
-    t[size - 1] = 1.0
-    idx = np.arange(size, dtype=np.int64)
-    rows = max(1, _CHUNK_CELLS // size)
-    while True:
-        before = t.copy()
-        for start in range(0, size, rows):
-            stop = min(size, start + rows)
-            a = idx[start:stop, None]
-            b = idx[None, :]
-            req = np.minimum(t[start:stop, None], t[None, :])
-            np.maximum.at(t, (a | b).ravel(), req.ravel())
-            np.maximum.at(t, (a & b).ravel(), req.ravel())
-        if np.array_equal(before, t):
-            break
-    return PSpace(w.n, tuple(float(v) for v in t))
+    bad = _out_of_range(t)
+    if bad.size:
+        mask = int(bad[0])
+        raise ProbabilityOutOfRange(f"value {w.table[mask]!r} for mask {mask} not in [0, 1]")
+    t += 0.0  # normalize -0.0
+    return PSpace(w.n, tuple(_recon(_separation(t, w.n), w.n).tolist()))
 
 
 def as_pspace(w: WeightTable) -> PSpace:

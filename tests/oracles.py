@@ -2,10 +2,14 @@
 
 Every oracle here recomputes its answer from the definitions with plain
 loops (no numpy, no shared helpers from the package beyond data types),
-so agreement with the library is meaningful.
+so agreement with the library is meaningful.  The one hypothesis
+strategy here, :func:`many_level_spaces`, builds its spaces with these
+oracles as well.
 """
 
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from ptop import SplitMix64, WeightTable
 
@@ -49,6 +53,52 @@ def brute_pairwise(table, n):
                 if table[target] < req:
                     out.append((kind, a, b, req, table[target]))
     return out
+
+
+def brute_complete(table, n):
+    """Least valid table above ``table``: boundary raised to 1, then the pair
+    rules t[A|B], t[A&B] >= min(t[A], t[B]) applied until nothing moves."""
+    size = 1 << n
+    t = list(table)
+    t[0] = t[size - 1] = 1.0
+    changed = True
+    while changed:
+        changed = False
+        for a in range(size):
+            for b in range(size):
+                req = min(t[a], t[b])
+                for target in (a | b, a & b):
+                    if t[target] < req:
+                        t[target] = req
+                        changed = True
+    return t
+
+
+def brute_recon(sep, n):
+    """The table S -> min of sep[x][y] over x in S, y not in S (1 when there
+    is no such pair, i.e. on the empty and full sets)."""
+    out = []
+    for mask in range(1 << n):
+        low = 1.0
+        for x in range(n):
+            for y in range(n):
+                if mask >> x & 1 and not mask >> y & 1:
+                    low = min(low, sep[x][y])
+        out.append(low)
+    return out
+
+
+PALETTE_LEVELS = tuple(k / 10 for k in range(11))
+
+
+@st.composite
+def many_level_spaces(draw, max_n=5):
+    """A valid space with many distinct values, as brute_recon of a random
+    separation matrix drawn from an 11-level palette."""
+    n = draw(st.integers(0, max_n))
+    level = st.sampled_from(PALETTE_LEVELS)
+    sep = [[draw(level) for _ in range(n)] for _ in range(n)]
+    return WeightTable(n, tuple(brute_recon(sep, n)))
 
 
 def brute_families(table, n):

@@ -1,4 +1,9 @@
+import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +27,15 @@ from ptop import (
     verify_exhaustive,
     verify_pairwise,
 )
-from oracles import brute_families, brute_pairwise, random_weight_table, rng_for
+import ptop
+from oracles import (
+    brute_complete,
+    brute_families,
+    brute_pairwise,
+    many_level_spaces,
+    random_weight_table,
+    rng_for,
+)
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
 PALETTE = (0.0, 0.5, 1.0)
@@ -214,3 +227,73 @@ def test_complete_is_inflationary_and_valid(n, data):
     assert not verify_pairwise(c)
     assert all(cv >= wv for cv, wv in zip(c.table, w.table))
     assert complete(c).table == c.table
+
+
+def _pair_reports(w):
+    return [(r.kind, r.witness_a, r.witness_b, r.required, r.actual) for r in verify_pairwise(w)]
+
+
+@settings(max_examples=150)
+@given(many_level_spaces())
+def test_many_level_spaces_are_valid_and_fixed_by_complete(p):
+    assert brute_pairwise(p.table, p.n) == []
+    if p.n <= 3:
+        assert brute_families(p.table, p.n) == []
+    assert verify_pairwise(p) == []
+    assert complete(p).table == p.table
+
+
+@settings(max_examples=150)
+@given(many_level_spaces(), st.data())
+def test_verify_matches_brute_on_perturbed_spaces(p, data):
+    mask = data.draw(st.integers(0, (1 << p.n) - 1))
+    value = data.draw(st.sampled_from((-0.5, 0.0, 0.05, 0.45, 0.5, 0.95, 1.0, 1.5)))
+    table = list(p.table)
+    table[mask] = value
+    w = WeightTable(p.n, tuple(table))
+    assert _pair_reports(w) == brute_pairwise(w.table, w.n)
+
+
+def test_complete_matches_pair_rule_fixpoint():
+    rng = rng_for(404)
+    for n in range(6):
+        for _ in range(40 if n < 5 else 10):
+            w = random_weight_table(n, rng, (0.0, 0.2, 0.25, 0.5, 0.7, 0.8, 1.0))
+            c = complete(w)
+            assert list(c.table) == brute_complete(w.table, n)
+            assert brute_pairwise(c.table, n) == []
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, float("inf"), float("nan")])
+def test_complete_rejects_out_of_range_values(bad):
+    with pytest.raises(ProbabilityOutOfRange):
+        complete(WeightTable(2, (1.0, bad, 0.0, 1.0)))
+
+
+def test_complete_on_nan_returns_promptly_in_a_child():
+    # Run in a child with a timeout, so a completion that never settles on
+    # NaN fails the test instead of hanging the suite.
+    code = (
+        "from ptop import ProbabilityOutOfRange, WeightTable, complete\n"
+        "try:\n"
+        "    complete(WeightTable(2, (1.0, float('nan'), 0.0, 1.0)))\n"
+        "except ProbabilityOutOfRange:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(ptop.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (0, "raised\n")
+
+
+def test_complete_normalizes_signed_zeros():
+    c = complete(WeightTable(2, (-0.0, -0.0, 0.5, -0.0)))
+    assert c.table == (1.0, 0.0, 0.5, 1.0)
+    assert math.copysign(1.0, c.table[1]) == 1.0
+    c = complete(WeightTable(3, (1.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.0)))
+    assert all(math.copysign(1.0, v) == 1.0 for v in c.table)
