@@ -79,7 +79,8 @@ class PSpace(WeightTable):
     Constructing one directly performs no axiom check; instances coming
     out of :func:`complete`, :func:`from_topology`, :func:`as_pspace`,
     subspace construction or level-chain reconstruction are valid by
-    construction (reconstruction and subspaces assert so in debug runs).
+    construction (the test suite checks reconstruction and subspaces
+    against brute-force oracles).
     :func:`as_pspace` decides validity in O(n^2 2^n) through the
     separation matrix.
     """
@@ -232,14 +233,14 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     for start in range(0, size, rows):
         stop = min(size, start + rows)
         a = idx[start:stop, None]
-        b = idx[None, :]
-        req = np.minimum(t[start:stop, None], t[None, :])
+        b = idx[None, start:]  # pairs with B < A are never reported
+        req = np.minimum(t[start:stop, None], t[None, start:])
         upper = b >= a
         for op, out in ((np.bitwise_or, unions), (np.bitwise_and, inters)):
             bad = (t[op(a, b)] < req) & upper
             for r, c in zip(*np.nonzero(bad)):
                 mask_a = start + int(r)
-                mask_b = int(c)
+                mask_b = start + int(c)
                 target = op(mask_a, mask_b)
                 out.append(
                     ViolationReport(
@@ -314,10 +315,9 @@ def complete(w: WeightTable) -> PSpace:
     dominating ``w`` has a matrix at least as large, so it dominates the
     reconstruction too.  Values are drawn from the input's values plus 1,
     with -0.0 read as 0.0.  Raises :class:`ProbabilityOutOfRange` on any
-    value outside [0, 1], NaN included.
+    value outside [0, 1], NaN included.  The ground-size cap N_MAX is its
+    only cap.
     """
-    if w.n > PAIRWISE_CAP:
-        raise CapExceeded(f"completion capped at n = {PAIRWISE_CAP}, got {w.n}")
     t = np.array(w.table, dtype=np.float64)
     bad = _out_of_range(t)
     if bad.size:

@@ -141,6 +141,22 @@ def is_classical_topology(n: int, members) -> bool:
     return all((a | b) in s and (a & b) in s for a in s for b in s)
 
 
+def brute_closure(n: int, seeds):
+    """Smallest family holding the empty set, the full set and ``seeds`` that
+    is closed under pairwise union and intersection, by plain fixpoint."""
+    family = {0, (1 << n) - 1, *seeds}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(family):
+            for b in list(family):
+                for c in (a | b, a & b):
+                    if c not in family:
+                        family.add(c)
+                        changed = True
+    return family
+
+
 def all_topologies(n: int):
     """Every classical topology on n labeled points, by raw enumeration."""
     size = 1 << n

@@ -32,6 +32,7 @@ from oracles import (
     brute_complete,
     brute_families,
     brute_pairwise,
+    brute_recon,
     many_level_spaces,
     random_weight_table,
     rng_for,
@@ -297,3 +298,43 @@ def test_complete_normalizes_signed_zeros():
     assert math.copysign(1.0, c.table[1]) == 1.0
     c = complete(WeightTable(3, (1.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.0)))
     assert all(math.copysign(1.0, v) == 1.0 for v in c.table)
+
+
+def test_complete_runs_past_the_pair_scan_cap():
+    # A sparse table at n = 14, beyond PAIRWISE_CAP: completion has no cap of
+    # its own below the ground-size cap.
+    n = 14
+    rng = rng_for(909)
+    entries = {rng.below(1 << n): (0.2, 0.45, 0.7, 0.9)[rng.below(4)] for _ in range(12)}
+    w = build(n, entries.items())
+    c = complete(w)
+    assert all(cv >= wv for cv, wv in zip(c.table, w.table))
+    assert complete(c).table == c.table
+    for q in sorted(set(c.table) - {0.0}):
+        assert topology_defect(n, (m for m, v in enumerate(c.table) if v >= q)) is None
+
+
+def test_verify_lists_lowered_entry_violations_across_chunks():
+    # At n = 12 the pair scan runs in several row chunks.  Lowering one entry
+    # m of a valid space to 0 breaks exactly the pairs whose union or
+    # intersection is m, so those pairs, listed with plain loops, are the
+    # whole report list.
+    n = 12
+    rng = rng_for(808)
+    sep = [[(0.1, 0.3, 0.6, 0.9)[rng.below(4)] for _ in range(n)] for _ in range(n)]
+    table = brute_recon(sep, n)
+    for m in (0b1101_0110_1011, 0b0010_1000_0100):
+        lowered = list(table)
+        lowered[m] = 0.0
+        expected = []
+        for kind in ("union", "intersection"):
+            for a in range(1 << n):
+                if (a | m if kind == "union" else a & m) != m:
+                    continue  # a cannot be part of a pair that makes m
+                for b in range(a, 1 << n):
+                    if (a | b if kind == "union" else a & b) == m:
+                        req = min(lowered[a], lowered[b])
+                        if req > 0.0:
+                            expected.append((kind, a, b, req, 0.0))
+        assert expected
+        assert _pair_reports(WeightTable(n, tuple(lowered))) == expected

@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from ptop import (
     CapExceeded,
+    MaskOutOfRange,
+    PtopError,
     SplitMix64,
     random_pspace,
     random_topology,
@@ -10,7 +14,7 @@ from ptop import (
     verify_exhaustive,
     verify_pairwise,
 )
-from oracles import is_classical_topology
+from oracles import brute_closure, is_classical_topology, rng_for
 
 
 def test_splitmix64_known_answer():
@@ -36,6 +40,21 @@ def test_topology_closure():
     closed = topology_closure(3, [0b011, 0b110])
     assert closed == {0b000, 0b011, 0b110, 0b111, 0b010}
     assert is_classical_topology(3, closed)
+
+
+def test_topology_closure_matches_brute_fixpoint():
+    rng = rng_for(707)
+    for n in range(7):
+        for _ in range(60 if n < 6 else 15):
+            seeds = [rng.below(1 << n) for _ in range(rng.below(n + 3))]
+            assert topology_closure(n, seeds) == brute_closure(n, seeds)
+
+
+@pytest.mark.parametrize("seed", [4, 5, -1, -4])
+def test_topology_closure_rejects_out_of_range_seeds(seed):
+    with pytest.raises(MaskOutOfRange) as err:
+        topology_closure(2, [0b01, seed])
+    assert isinstance(err.value, PtopError)
 
 
 def test_random_topology_is_topology():
@@ -73,3 +92,17 @@ def test_generator_document_determinism():
     docs1 = [serialize_pspace(random_pspace(3 + s % 4, 1 + s % 3, s)) for s in range(50)]
     docs2 = [serialize_pspace(random_pspace(3 + s % 4, 1 + s % 3, s)) for s in range(50)]
     assert docs1 == docs2
+
+
+# SHA-256 of the concatenated documents below, taken from the frontier-closure
+# generator; pins the SplitMix64 draw order and the output bytes.
+GENERATOR_GRID_SHA256 = "39c389e57b862cb0fbaf060453007d476693bc0295a6ce6cf55e63ca8d49adcf"
+
+
+def test_generator_output_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        n = seed % 13
+        k = 1 + seed % 7
+        digest.update(serialize_pspace(random_pspace(n, k, seed)).encode())
+    assert digest.hexdigest() == GENERATOR_GRID_SHA256

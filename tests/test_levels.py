@@ -9,6 +9,7 @@ from ptop import (
     MissingBase,
     NotATopology,
     ProbabilityOutOfRange,
+    PSpace,
     as_pspace,
     build,
     from_topology,
@@ -19,7 +20,7 @@ from ptop import (
     reconstruct,
     verify_pairwise,
 )
-from oracles import all_topologies, is_classical_topology
+from oracles import all_topologies, is_classical_topology, many_level_spaces
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
 
@@ -128,3 +129,14 @@ def test_q_open_monotone(n, seed, data):
     lo, hi = min(q1, q2), max(q1, q2)
     if q_open(p, a, lo):
         assert q_open(p, a, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(many_level_spaces(max_n=6))
+def test_cuts_and_roundtrip_on_many_level_spaces(w):
+    p = PSpace(w.n, w.table)
+    for q in sorted(set(p.table)):
+        assert is_classical_topology(p.n, level_cut(p, q))
+    back = reconstruct(decompose(p))
+    assert back == p
+    assert verify_pairwise(back) == []

@@ -1,3 +1,5 @@
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -7,11 +9,13 @@ from ptop import (
     NotASubset,
     PointMap,
     PointOutOfRange,
+    PSpace,
     WeightTable,
     as_pspace,
     build,
     complete,
     compose,
+    compress,
     continuity_witness,
     from_topology,
     full_mask,
@@ -21,10 +25,18 @@ from ptop import (
     preimage,
     random_pspace,
     subspace,
+    submasks,
     subspace_prob,
     verify_pairwise,
 )
-from oracles import all_topologies, brute_subspace_prob, classically_continuous, rng_for
+from oracles import (
+    all_topologies,
+    brute_pairwise,
+    brute_subspace_prob,
+    classically_continuous,
+    many_level_spaces,
+    rng_for,
+)
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
 
@@ -64,6 +76,27 @@ def test_subspace_examples():
     assert subspace(P1, 0b11).table == P1.table
     empty = subspace(P1, 0b00)
     assert empty.n == 0 and empty.table == (1.0,)
+
+
+def test_subspace_reads_negative_zero_as_positive_zero():
+    p = PSpace(3, (1.0,) + (-0.0,) * 6 + (1.0,))
+    for y in (0b001, 0b011, 0b111):
+        s = subspace(p, y)
+        assert s.table == (1.0,) + (0.0,) * ((1 << s.n) - 2) + (1.0,)
+        assert all(math.copysign(1.0, v) == 1.0 for v in s.table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(many_level_spaces(max_n=6), st.data())
+def test_subspace_matches_brute_trace_on_many_level_spaces(w, data):
+    p = PSpace(w.n, w.table)
+    y = data.draw(st.integers(0, full_mask(w.n)))
+    s = subspace(p, y)
+    expected = [0.0] * (1 << y.bit_count())
+    for a in submasks(y):
+        expected[compress(a, y)] = brute_subspace_prob(p.table, p.n, y, a)
+    assert list(s.table) == expected
+    assert brute_pairwise(s.table, s.n) == []
 
 
 def test_inclusion_map_examples():
