@@ -61,7 +61,7 @@ from .fileio import (
     serialize_pmap,
     serialize_pspace,
 )
-from .generate import GENERATOR_CAP, SplitMix64, random_pspace, random_topology, topology_closure
+from .generate import SplitMix64, random_pspace, random_topology, topology_closure
 from .levels import LevelChain, decompose, level_cut, q_open, reconstruct
 from .maps import (
     PointMap,

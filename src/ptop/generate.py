@@ -26,14 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace
-from .errors import CapExceeded
+from .core import PSpace, _open_sets
 from .levels import LevelChain, reconstruct
 from .masks import check_ground_size, check_mask, full_mask
-
-# reconstruct checks each chain member with topology_defect, a scan over
-# all pairs of its open sets: random_pspace(18, 6, 3) took 39 s without this cap.
-GENERATOR_CAP = 13
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,20 +66,18 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
 
     Its open sets are those that hold, with each point x, the minimal
     neighbourhood N(x): the intersection of the full set and every seed
-    containing x.  One pass over the 2^n masks per point, O(n 2^n).
+    containing x.  O(n |seeds|) for the neighbourhoods, then O(2^n).
     """
     seeds = list(seeds)
     for seed in seeds:
         check_mask(seed, n)
-    masks = np.arange(1 << n)
-    member = np.ones(1 << n, dtype=bool)
+    nbhd = []
     for x in range(n):
-        nbhd = full_mask(n)
+        nbhd.append(full_mask(n))
         for seed in seeds:
             if seed >> x & 1:
-                nbhd &= seed
-        member &= (masks >> x & 1 == 0) | (masks & nbhd == nbhd)
-    return frozenset(np.nonzero(member)[0].tolist())
+                nbhd[x] &= seed
+    return frozenset(np.nonzero(_open_sets(n, nbhd))[0].tolist())
 
 
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
@@ -100,8 +93,6 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     Deterministic per (n, k, seed); every output passes the verifiers.
     """
     check_ground_size(n)
-    if n > GENERATOR_CAP:
-        raise CapExceeded(f"generation capped at n = {GENERATOR_CAP}, got {n}")
     if k < 1:
         raise ValueError(f"level count must be at least 1, got {k}")
     rng = SplitMix64(seed)

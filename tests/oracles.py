@@ -141,6 +141,25 @@ def is_classical_topology(n: int, members) -> bool:
     return all((a | b) in s and (a & b) in s for a in s for b in s)
 
 
+def brute_topology_defect(n: int, members):
+    """The defect of a family by plain loops: a missing empty or full set,
+    else the first pair (a, b) of sorted members, in lexicographic order,
+    whose union escapes the family, else likewise for intersections, else
+    None."""
+    s = set(members)
+    if 0 not in s:
+        return ("missing-empty",)
+    if (1 << n) - 1 not in s:
+        return ("missing-full",)
+    ordered = sorted(s)
+    for kind in ("union", "intersection"):
+        for a in ordered:
+            for b in ordered:
+                if (a | b if kind == "union" else a & b) not in s:
+                    return (kind, a, b)
+    return None
+
+
 def brute_closure(n: int, seeds):
     """Smallest family holding the empty set, the full set and ``seeds`` that
     is closed under pairwise union and intersection, by plain fixpoint."""

@@ -29,10 +29,13 @@ from ptop import (
 )
 import ptop
 from oracles import (
+    brute_closure,
     brute_complete,
     brute_families,
     brute_pairwise,
     brute_recon,
+    brute_topology_defect,
+    is_classical_topology,
     many_level_spaces,
     random_weight_table,
     rng_for,
@@ -186,6 +189,61 @@ def test_from_topology_rejects_non_topologies():
     with pytest.raises(NotATopology) as err:
         from_topology(2, [0b01, 0b11])
     assert err.value.defect == ("missing-empty",)
+
+
+def _random_families(rng, n, count):
+    """Families on n points: arbitrary ones (often missing the empty or the
+    full set), arbitrary ones holding both, closures, and closures with a
+    few masks toggled."""
+    size = 1 << n
+    for i in range(count):
+        if i % 4 < 2:
+            family = {rng.below(size) for _ in range(rng.below(size + 1))}
+            if i % 4 == 1:
+                family |= {0, size - 1}
+        else:
+            family = brute_closure(n, [rng.below(size) for _ in range(rng.below(n + 2))])
+            if i % 4 == 3:
+                family ^= {rng.below(size) for _ in range(1 + rng.below(2))}
+        yield family
+
+
+def test_topology_defect_on_every_small_family():
+    for n in range(4):
+        size = 1 << n
+        for fam in range(1 << size):
+            members = [m for m in range(size) if fam >> m & 1]
+            defect = topology_defect(n, members)
+            assert (defect is None) == is_classical_topology(n, members)
+            assert defect == brute_topology_defect(n, members)
+
+
+def test_topology_defect_matches_brute_on_random_families():
+    rng = rng_for(1010)
+    kinds = set()
+    for n in range(6):
+        for family in _random_families(rng, n, 200):
+            defect = topology_defect(n, family)
+            assert (defect is None) == is_classical_topology(n, family)
+            assert defect == brute_topology_defect(n, family)
+            kinds.add(defect[0] if defect else None)
+            if defect is None:
+                assert from_topology(n, family).table == tuple(
+                    1.0 if m in family else 0.0 for m in range(1 << n)
+                )
+            else:
+                with pytest.raises(NotATopology) as err:
+                    from_topology(n, family)
+                assert err.value.defect == defect
+    assert kinds == {None, "missing-empty", "missing-full", "union", "intersection"}
+
+
+@pytest.mark.parametrize("bad", [2**70, -1, 8])
+def test_topology_defect_rejects_out_of_range_masks(bad):
+    with pytest.raises(MaskOutOfRange):
+        topology_defect(3, [0, 7, bad])
+    with pytest.raises(MaskOutOfRange):
+        from_topology(3, [0, 7, bad])
 
 
 def test_prob_examples():

@@ -7,6 +7,10 @@ from ptop import (
     MaskOutOfRange,
     PtopError,
     SplitMix64,
+    complete,
+    decompose,
+    parse_pspace,
+    reconstruct,
     random_pspace,
     random_topology,
     serialize_pspace,
@@ -14,6 +18,7 @@ from ptop import (
     verify_exhaustive,
     verify_pairwise,
 )
+from ptop.cli import main
 from oracles import brute_closure, is_classical_topology, rng_for
 
 
@@ -70,11 +75,30 @@ def test_random_pspace_examples():
     assert random_pspace(4, 3, 42).table == out.table  # determinism
 
 
-def test_random_pspace_argument_checks():
+def test_random_pspace_argument_checks(monkeypatch):
+    # Generation has no cap of its own: only the ground-size cap bounds it.
     with pytest.raises(CapExceeded):
-        random_pspace(14, 1, 0)
+        random_pspace(21, 1, 0)
+    monkeypatch.setenv("PTOP_MAX_N", "5")
+    with pytest.raises(CapExceeded):
+        random_pspace(6, 1, 0)
+    assert random_pspace(5, 1, 0).n == 5
     with pytest.raises(ValueError):
         random_pspace(3, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_pspace_above_the_pair_scan_cap(seed):
+    # At n = 16 verify_pairwise refuses; complete(p) == p says p is valid.
+    p = random_pspace(16, 6, seed)
+    assert complete(p).table == p.table
+    assert reconstruct(decompose(p)) == p
+
+
+def test_cli_generate_at_n16_parses_back(tmp_path):
+    out = tmp_path / "g16.ptop"
+    assert main(["generate", "--n", "16", "--levels", "6", "--seed", "5", "-o", str(out)]) == 0
+    assert parse_pspace(out.read_text(encoding="utf-8")).table == random_pspace(16, 6, 5).table
 
 
 def test_generator_soundness_many_seeds():

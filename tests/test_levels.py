@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -10,6 +14,7 @@ from ptop import (
     NotATopology,
     ProbabilityOutOfRange,
     PSpace,
+    PtopError,
     as_pspace,
     build,
     from_topology,
@@ -20,6 +25,7 @@ from ptop import (
     reconstruct,
     verify_pairwise,
 )
+import ptop
 from oracles import all_topologies, is_classical_topology, many_level_spaces
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
@@ -140,3 +146,58 @@ def test_cuts_and_roundtrip_on_many_level_spaces(w):
     back = reconstruct(decompose(p))
     assert back == p
     assert verify_pairwise(back) == []
+
+
+# Chains that pin validation order and bit-exact output: (n, levels,
+# topologies, base) with the expected table as a list of reprs (to see signed
+# zeros), or a tuple of the error class and its defect or part of its message.
+EDGE_CHAINS = [
+    ((2, (1.0,), ({0, 3, 2**70},), 0.0), ("MaskOutOfRange",)),
+    ((2, (1.0,), ({-1, 0, 3},), 0.0), ("MaskOutOfRange",)),
+    ((2, (0.5, 1.0), ({0, 1, 3}, {0, 3, -1}), 0.0), ("MaskOutOfRange",)),
+    # a member's defect is found before the pair that is not nested
+    ((3, (0.5, 1.0), ({0, 7}, {0, 1, 2, 7}), 0.0), ("NotATopology", ("union", 1, 2))),
+    # a pair that is not nested is found before the base out of range
+    ((2, (0.5, 1.0), ({0, 3}, {0, 1, 3}), 0.9), ("ChainNotNested",)),
+    # the lowest subset in no member is named
+    ((3, (0.5, 1.0), ({0, 1, 3, 7}, {0, 7}), None), ("MissingBase", "subset 2 ")),
+    ((2, (0.5, 1.0), ({0, 1, 3}, {0, 3}), -0.0), ["1.0", "0.5", "-0.0", "1.0"]),
+    ((2, (-0.0, 0.5, 1.0), ({0, 1, 2, 3}, {0, 1, 3}, {0, 3}), None), ["1.0", "0.5", "-0.0", "1.0"]),
+]
+
+
+def chain_outcome(n, levels, topologies, base):
+    chain = LevelChain(n, levels, tuple(frozenset(t) for t in topologies), base)
+    try:
+        chain.validate()
+        return [repr(v) for v in reconstruct(chain).table]
+    except PtopError as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "defect", None)]
+
+
+@pytest.mark.parametrize("case, expected", EDGE_CHAINS)
+def test_chain_validation_order_and_exact_tables(case, expected):
+    got = chain_outcome(*case)
+    if isinstance(expected, list):
+        assert got == expected
+        return
+    assert got[0] == expected[0]
+    if len(expected) > 1 and isinstance(expected[1], tuple):
+        assert got[2] == expected[1]
+    elif len(expected) > 1:
+        assert expected[1] in got[1]
+
+
+def test_chain_edge_cases_agree_under_python_O():
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(ptop.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
+        "from test_levels import EDGE_CHAINS, chain_outcome\n"
+        "print(repr([chain_outcome(*case) for case, _ in EDGE_CHAINS]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr([chain_outcome(*case) for case, _ in EDGE_CHAINS]) + "\n"
