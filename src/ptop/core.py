@@ -21,6 +21,13 @@ dominating w.  Hence an in-range table is valid exactly when it equals
 recon(T_w), which :func:`verify_pairwise` and :func:`complete` check and
 build in O(n^2 2^n).
 
+Listing the violations of an invalid table needs only the candidate
+masks C, those valued strictly above m, the least non-NaN value: a pair
+violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
+minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
+The listing scans the pairs of C in O(|C|^2), on top of the O(n^2 2^n)
+decision.
+
 Probabilities are binary64 values that are only ever compared, copied,
 min-ed and max-ed, never combined arithmetically, so they survive every
 operation bit-exactly.
@@ -29,6 +36,7 @@ operation bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Literal
 
 import numpy as np
@@ -42,7 +50,10 @@ from .errors import (
 )
 from .masks import check_ground_size, check_mask
 
-# Documented caps: listing violations is O(4^n), the family scan O(2^(2^n)).
+# Documented caps: listing the violations of an invalid table with C candidate
+# masks is O(|C|^2), capped at |C| <= 2^PAIRWISE_CAP (the pair cells of a full
+# n = 13 scan); deciding validity has no cap below N_MAX.  The family scan is
+# O(2^(2^n)).
 PAIRWISE_CAP = 13
 EXHAUSTIVE_CAP = 4
 
@@ -65,7 +76,7 @@ class WeightTable:
 
     def __post_init__(self):
         check_ground_size(self.n)
-        object.__setattr__(self, "table", tuple(float(v) for v in self.table))
+        object.__setattr__(self, "table", tuple(map(float, self.table)))
         if len(self.table) != 1 << self.n:
             raise ValueError(
                 f"table for ground size {self.n} needs {1 << self.n} entries, "
@@ -198,18 +209,21 @@ def _recon(sep: np.ndarray, n: int) -> np.ndarray:
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     """List the axiom violations of ``w``; empty result == valid space.
 
-    Validity is decided in O(n^2 2^n): an in-range table with its boundary
-    at 1 is valid exactly when it equals its reconstruction from its
-    separation matrix.  Only an invalid table goes on to the O(4^n) scan
-    of all subset pairs that lists its violations.
+    Validity is decided in O(n^2 2^n) at any ground size: an in-range table
+    with its boundary at 1 is valid exactly when it equals its
+    reconstruction from its separation matrix.  Only an invalid table goes
+    on to list its union and intersection violations, scanning the pairs of
+    its candidate masks C, those valued strictly above the table's least
+    non-NaN value, in O(|C|^2).  :class:`CapExceeded` is raised when an
+    invalid table has more than 2^PAIRWISE_CAP candidates.
 
     Report order is deterministic: range (ascending mask), boundary
     (empty then full), union pairs in lexicographic (A, B) order with
     A <= B, then intersection pairs likewise.  Boundary reports assert
     the at-least-1 side only; a boundary value above 1 is a range matter.
+    A pair with a NaN part is never reported, since its required value,
+    the minimum of the parts, is NaN.
     """
-    if w.n > PAIRWISE_CAP:
-        raise CapExceeded(f"pair scan capped at n = {PAIRWISE_CAP}, got {w.n}")
     t = np.asarray(w.table, dtype=np.float64)
     size = t.size
     reports: list[ViolationReport] = []
@@ -226,31 +240,39 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
         return reports
 
-    idx = np.arange(size, dtype=np.int64)
+    # A pair report has t[A op B] < min(t[A], t[B]): all three are non-NaN, so
+    # both parts lie strictly above the least non-NaN value, which fmin finds
+    # (NaN on an all-NaN table, leaving no candidates).
+    cand = np.nonzero(t > np.fmin.reduce(t))[0]
+    if cand.size > 1 << PAIRWISE_CAP:
+        raise CapExceeded(
+            f"listing the violations of {cand.size} candidate masks is capped at "
+            f"2^{PAIRWISE_CAP}"
+        )
     unions: list[ViolationReport] = []
     inters: list[ViolationReport] = []
-    rows = max(1, _CHUNK_CELLS // size)
-    for start in range(0, size, rows):
-        stop = min(size, start + rows)
-        a = idx[start:stop, None]
-        b = idx[None, start:]  # pairs with B < A are never reported
-        req = np.minimum(t[start:stop, None], t[None, start:])
+    rows = _CHUNK_CELLS // max(1, cand.size)  # at least 512 under the cap
+    for start in range(0, cand.size, rows):
+        a = cand[start : start + rows, None]
+        b = cand[None, start:]  # pairs with B < A are never reported
+        req = np.minimum(t[a], t[b])
         upper = b >= a
-        for op, out in ((np.bitwise_or, unions), (np.bitwise_and, inters)):
-            bad = (t[op(a, b)] < req) & upper
-            for r, c in zip(*np.nonzero(bad)):
-                mask_a = start + int(r)
-                mask_b = start + int(c)
-                target = op(mask_a, mask_b)
-                out.append(
-                    ViolationReport(
-                        "union" if op is np.bitwise_or else "intersection",
-                        mask_a,
-                        mask_b,
-                        float(req[r, c]),
-                        float(t[target]),
-                    )
+        for op, kind, out in (
+            (np.bitwise_or, "union", unions),
+            (np.bitwise_and, "intersection", inters),
+        ):
+            r, c = np.nonzero((t[op(a, b)] < req) & upper)
+            wa, wb = a[r, 0], b[0, c]
+            out.extend(
+                map(
+                    ViolationReport,
+                    repeat(kind),
+                    wa.tolist(),
+                    wb.tolist(),
+                    req[r, c].tolist(),
+                    t[op(wa, wb)].tolist(),
                 )
+            )
     reports.extend(unions)
     reports.extend(inters)
     return reports

@@ -98,9 +98,18 @@ class LevelChain:
 
 def level_cut(p: PSpace, q: float) -> frozenset[int]:
     """The subsets whose value is at least q; always a classical topology."""
-    if not 0.0 <= q <= 1.0:
-        raise ProbabilityOutOfRange(f"threshold {q!r} not in [0, 1]")
-    return frozenset(mask for mask, v in enumerate(p.table) if v >= q)
+    return _cuts(p, (q,))[0]
+
+
+def _cuts(p: PSpace, levels) -> tuple[frozenset[int], ...]:
+    """:func:`level_cut` of ``p`` at each of ``levels``, converting the table once."""
+    table = np.asarray(p.table, dtype=np.float64)
+    cuts = []
+    for q in levels:
+        if not 0.0 <= q <= 1.0:
+            raise ProbabilityOutOfRange(f"threshold {q!r} not in [0, 1]")
+        cuts.append(frozenset(np.nonzero(table >= q)[0].tolist()))
+    return tuple(cuts)
 
 
 def q_open(p: PSpace, a: int, q: float) -> bool:
@@ -121,7 +130,7 @@ def decompose(p: PSpace) -> LevelChain:
     """
     values = sorted(set(p.table))
     levels = tuple(v for v in values if v != 0.0)
-    topologies = tuple(level_cut(p, q) for q in levels)
+    topologies = _cuts(p, levels)
     base = 0.0 if values and values[0] == 0.0 else None
     return LevelChain(p.n, levels, topologies, base)
 

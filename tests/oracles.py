@@ -30,7 +30,8 @@ def random_weight_table(n: int, rng: SplitMix64, palette) -> WeightTable:
 
 def brute_pairwise(table, n):
     """All pair-scan violations as (kind, a, b, required, actual) tuples,
-    in the documented report order, computed with plain loops."""
+    in the documented report order, computed with plain loops.  A pair with
+    a NaN part is never reported: its required minimum is NaN."""
     size = 1 << n
     out = []
     for mask in range(size):
@@ -48,6 +49,8 @@ def brute_pairwise(table, n):
     for kind in ("union", "intersection"):
         for a in range(size):
             for b in range(a, size):
+                if table[a] != table[a] or table[b] != table[b]:
+                    continue
                 req = min(table[a], table[b])
                 target = a | b if kind == "union" else a & b
                 if table[target] < req:

@@ -81,8 +81,17 @@ def test_verify_pairwise_examples():
 
 
 def test_verify_pairwise_cap():
+    # Above n = 13 validity is still decided; only listing the violations of a
+    # table with more than 2^13 candidate masks is refused.
+    n = 14
+    assert verify_pairwise(build(n, [])) == []
+    sparse = build(n, [(0b01, 0.8), (0b10, 0.7), (0b11, 0.2)])
+    assert _pair_reports(sparse) == [("union", 0b01, 0b10, 0.7, 0.2)]
+    dense = [0.5] * (1 << n)
+    dense[0] = dense[-1] = 1.0
+    dense[0b11] = 0.25
     with pytest.raises(CapExceeded):
-        verify_pairwise(build(14, []))
+        verify_pairwise(WeightTable(n, tuple(dense)))
 
 
 def test_verify_reports_out_of_range_values():
@@ -92,6 +101,58 @@ def test_verify_reports_out_of_range_values():
     w = WeightTable(1, (1.0, 1.5))
     kinds = [(r.kind, r.witness_a, r.required, r.actual) for r in verify_pairwise(w)]
     assert kinds == [("range", 1, 1.5, 1.0)]  # no boundary report: >= 1 holds
+
+
+def _nan_free(reports):
+    # NaN != NaN, so compare NaN fields by name.
+    return [tuple("nan" if v != v else v for v in r) for r in reports]
+
+
+def _check_reports_against_brute(w):
+    reports = verify_pairwise(w)
+    got = [(r.kind, r.witness_a, r.witness_b, r.required, r.actual) for r in reports]
+    assert _nan_free(got) == _nan_free(brute_pairwise(w.table, w.n))
+    for r in reports:
+        assert type(r.witness_a) is int
+        assert type(r.required) is float and type(r.actual) is float
+        if r.kind in ("range", "boundary"):
+            assert r.witness_b is None
+        else:
+            assert type(r.witness_b) is int
+
+
+# Palettes around the candidate threshold, the least non-NaN value of a table.
+THRESHOLD_PALETTES = (
+    (-0.75, -0.25, -0.0, 0.3, 1.0),
+    (math.nan, 0.0, 0.4, 0.8, 1.0),
+    (math.nan, math.nan, math.nan, -0.5, 0.5),
+    (-math.inf, math.inf, 0.0, 0.5, 1.0),
+    (-0.0, 0.0, 0.6, 1.0),
+)
+
+
+def test_verify_candidate_threshold_matches_brute_force():
+    rng = rng_for(111)
+    for n in range(5):
+        for palette in THRESHOLD_PALETTES:
+            for _ in range(12):
+                _check_reports_against_brute(random_weight_table(n, rng, palette))
+    for n in (0, 1, 3):
+        for v in (math.nan, -0.0, 0.0, 0.5, 1.0, -math.inf):
+            _check_reports_against_brute(WeightTable(n, (v,) * (1 << n)))
+
+
+def test_verify_sparse_tables_match_brute_force():
+    # A few entries over a 0 or -0.0 background: only those entries and the
+    # boundary are candidates.
+    rng = rng_for(112)
+    for n in range(1, 7):
+        for _ in range(15):
+            table = [(0.0, -0.0)[rng.below(2)] for _ in range(1 << n)]
+            table[0] = table[-1] = 1.0
+            for _ in range(1 + rng.below(4)):
+                table[rng.below(1 << n)] = (-0.5, 0.2, 0.45, 0.7, 0.9, math.nan)[rng.below(6)]
+            _check_reports_against_brute(WeightTable(n, tuple(table)))
 
 
 def test_verify_report_order_matches_brute_force():
@@ -373,10 +434,11 @@ def test_complete_runs_past_the_pair_scan_cap():
 
 
 def test_verify_lists_lowered_entry_violations_across_chunks():
-    # At n = 12 the pair scan runs in several row chunks.  Lowering one entry
-    # m of a valid space to 0 breaks exactly the pairs whose union or
-    # intersection is m, so those pairs, listed with plain loops, are the
-    # whole report list.
+    # Lowering one entry m of a valid space to 0 breaks exactly the pairs
+    # whose union or intersection is m, so those pairs, listed with plain
+    # loops, are the whole report list.  Every other entry is at least 0.1,
+    # so all masks but m are candidates, and at n = 12 their pair scan runs
+    # in several row chunks.
     n = 12
     rng = rng_for(808)
     sep = [[(0.1, 0.3, 0.6, 0.9)[rng.below(4)] for _ in range(n)] for _ in range(n)]
@@ -384,6 +446,8 @@ def test_verify_lists_lowered_entry_violations_across_chunks():
     for m in (0b1101_0110_1011, 0b0010_1000_0100):
         lowered = list(table)
         lowered[m] = 0.0
+        candidates = sum(v > 0.0 for v in lowered)
+        assert candidates > ptop.core._CHUNK_CELLS // candidates
         expected = []
         for kind in ("union", "intersection"):
             for a in range(1 << n):

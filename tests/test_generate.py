@@ -95,10 +95,15 @@ def test_random_pspace_above_the_pair_scan_cap(seed):
     assert reconstruct(decompose(p)) == p
 
 
-def test_cli_generate_at_n16_parses_back(tmp_path):
+def test_cli_generate_at_n16_parses_back(tmp_path, capsys):
     out = tmp_path / "g16.ptop"
     assert main(["generate", "--n", "16", "--levels", "6", "--seed", "5", "-o", str(out)]) == 0
     assert parse_pspace(out.read_text(encoding="utf-8")).table == random_pspace(16, 6, 5).table
+    # Loading validates, which decides validity at any n, so other subcommands
+    # accept the file too.
+    assert main(["validate", str(out)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["levels", str(out)]) == 0
 
 
 def test_generator_soundness_many_seeds():
