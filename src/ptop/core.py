@@ -240,9 +240,9 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
         return reports
 
-    # A pair report has t[A op B] < min(t[A], t[B]): all three are non-NaN, so
-    # both parts lie strictly above the least non-NaN value, which fmin finds
-    # (NaN on an all-NaN table, leaving no candidates).
+    # Only masks above the least non-NaN value take part in pair reports (see
+    # the module docstring); fmin skips NaN, and gives NaN, so no candidates,
+    # on an all-NaN table.
     cand = np.nonzero(t > np.fmin.reduce(t))[0]
     if cand.size > 1 << PAIRWISE_CAP:
         raise CapExceeded(
