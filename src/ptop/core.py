@@ -28,6 +28,12 @@ minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
 The listing scans the pairs of C in O(|C|^2), on top of the O(n^2 2^n)
 decision.
 
+A classical topology is the 0/1 table of its family (:func:`from_topology`),
+and on that table a pair of members is reported exactly when its union or
+intersection falls outside the family.  So the same pair scan names the
+first escaping pair of a family that is not a topology; both operations
+commute, so that pair has A <= B and the upper triangle suffices.
+
 Probabilities are binary64 values that are only ever compared, copied,
 min-ed and max-ed, never combined arithmetically, so they survive every
 operation bit-exactly.
@@ -206,6 +212,27 @@ def _recon(sep: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _pair_reports(t: np.ndarray, cand: np.ndarray):
+    """Yield the union, then the intersection, pair reports over ``cand``.
+
+    ``cand`` holds ascending masks.  Each yield is one row chunk's
+    (kind, a, b, required, actual) witness arrays: the pairs A <= B of
+    ``cand`` with t[A op B] < min(t[A], t[B]), in lexicographic order.  A
+    chunk takes the columns from its first row on, so it spans at most
+    _CHUNK_CELLS cells, or one row.
+    """
+    rows = max(1, _CHUNK_CELLS // max(1, cand.size))
+    for op, kind in ((np.bitwise_or, "union"), (np.bitwise_and, "intersection")):
+        for start in range(0, cand.size, rows):
+            a = cand[start : start + rows, None]
+            b = cand[None, start:]  # pairs with B < A are never reported
+            req = np.minimum(t[a], t[b])
+            bad = (t[op(a, b)] < req) & (b >= a)
+            r, c = np.divmod(np.flatnonzero(bad), bad.shape[1])  # 2-D nonzero is slower
+            wa, wb = a[r, 0], b[0, c]
+            yield kind, wa, wb, req[r, c], t[op(wa, wb)]
+
+
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     """List the axiom violations of ``w``; empty result == valid space.
 
@@ -249,32 +276,8 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
             f"listing the violations of {cand.size} candidate masks is capped at "
             f"2^{PAIRWISE_CAP}"
         )
-    unions: list[ViolationReport] = []
-    inters: list[ViolationReport] = []
-    rows = _CHUNK_CELLS // max(1, cand.size)  # at least 512 under the cap
-    for start in range(0, cand.size, rows):
-        a = cand[start : start + rows, None]
-        b = cand[None, start:]  # pairs with B < A are never reported
-        req = np.minimum(t[a], t[b])
-        upper = b >= a
-        for op, kind, out in (
-            (np.bitwise_or, "union", unions),
-            (np.bitwise_and, "intersection", inters),
-        ):
-            r, c = np.nonzero((t[op(a, b)] < req) & upper)
-            wa, wb = a[r, 0], b[0, c]
-            out.extend(
-                map(
-                    ViolationReport,
-                    repeat(kind),
-                    wa.tolist(),
-                    wb.tolist(),
-                    req[r, c].tolist(),
-                    t[op(wa, wb)].tolist(),
-                )
-            )
-    reports.extend(unions)
-    reports.extend(inters)
+    for kind, *arrays in _pair_reports(t, cand):
+        reports.extend(map(ViolationReport, repeat(kind), *(x.tolist() for x in arrays)))
     return reports
 
 
@@ -381,19 +384,23 @@ def _family_mask(n: int, members) -> np.ndarray:
     return member
 
 
+def _hull(n: int, parts) -> np.ndarray:
+    """The table S -> OR{parts[x] : x in S}, doubling one point at a time: O(2^n)."""
+    hull = np.zeros(1 << n, dtype=np.int64)
+    for x in range(n):
+        hull[1 << x : 2 << x] = hull[: 1 << x] | parts[x]
+    return hull
+
+
 def _open_sets(n: int, nbhd) -> np.ndarray:
     """The boolean table of the subsets S holding, with each point x, ``nbhd[x]``.
 
     Those are the open sets of the topology whose minimal neighbourhoods
     are the ``nbhd[x]`` (each holding x).  Since nbhd[x] holds x, the hull
     OR{nbhd[x] : x in S} contains S, and S qualifies exactly when the two
-    are equal.  The hull table doubles one point at a time, so this is
-    O(2^n) after the n neighbourhoods.
+    are equal: O(2^n) after the n neighbourhoods.
     """
-    hull = np.zeros(1 << n, dtype=np.int64)
-    for x in range(n):
-        hull[1 << x : 2 << x] = hull[: 1 << x] | nbhd[x]
-    return hull == np.arange(1 << n)
+    return _hull(n, nbhd) == np.arange(1 << n)
 
 
 def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
@@ -409,15 +416,11 @@ def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
     nbhd = [np.bitwise_and.reduce(arr[arr >> x & 1 == 1]) for x in range(n)]
     if np.array_equal(member, _open_sets(n, nbhd)):
         return None
-    # Not a topology: the pair scan only names the first escaping pair.
-    rows = max(1, _CHUNK_CELLS // arr.size)
-    for op, kind in ((np.bitwise_or, "union"), (np.bitwise_and, "intersection")):
-        for start in range(0, arr.size, rows):
-            stop = min(arr.size, start + rows)
-            bad = ~member[op(arr[start:stop, None], arr[None, :])]
-            if bad.any():
-                r, c = (int(v[0]) for v in np.nonzero(bad))
-                return (kind, int(arr[start + r]), int(arr[c]))
+    # Not a topology: the pair scan of its 0/1 table names the first escaping
+    # pair (see the module docstring).
+    for kind, a, b, _, _ in _pair_reports(member, arr):
+        if a.size:
+            return (kind, int(a[0]), int(b[0]))
     # Closure under pairs, with the empty and full sets, makes a topology.
     raise AssertionError("a family that is not a topology has no escaping pair")
 
@@ -433,10 +436,21 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     arbitrary unions.
 
     Closedness is decided in O(n 2^n) through the minimal neighbourhoods
-    of the family; the O(|opens|^2) pair scan runs only on a family that
-    fails, to name its defect.
+    of the family.  Only a family that fails goes on to name its defect,
+    through the violation listing's pair scan on its 0/1 table: since both
+    operations commute, the first escaping pair has a <= b, so the scan
+    covers only the upper triangle of the O(|opens|^2) pair grid.
     """
     return _mask_defect(n, _family_mask(n, set(opens)))
+
+
+def _topology_table(n: int, opens, prefix: str) -> np.ndarray:
+    """The boolean table of ``opens``; :class:`NotATopology`, led by ``prefix``, if no topology."""
+    member = _family_mask(n, opens)
+    defect = _mask_defect(n, member)
+    if defect is not None:
+        raise NotATopology(f"{prefix}: {' '.join(map(str, defect))}", defect)
+    return member
 
 
 def from_topology(n: int, opens: Iterable[int]) -> PSpace:
@@ -446,8 +460,5 @@ def from_topology(n: int, opens: Iterable[int]) -> PSpace:
     coincides with classical continuity.
     """
     check_ground_size(n)
-    member = _family_mask(n, set(opens))
-    defect = _mask_defect(n, member)
-    if defect is not None:
-        raise NotATopology(f"not a topology: {' '.join(map(str, defect))}", defect)
+    member = _topology_table(n, set(opens), "not a topology")
     return PSpace(n, tuple(member.astype(np.float64).tolist()))

@@ -77,6 +77,18 @@ def _check_header(tokens: list[str], lineno: int, name: str, version: str) -> No
         raise UnsupportedVersion(f"unsupported {name} version {tokens[1]!r}", lineno)
 
 
+def _size_line(lines, lineno: int, form: str) -> tuple[int, int]:
+    """Read the line after ``lineno`` as ``form``, '<key> <...>': (its line, the size)."""
+    key = form.split()[0]
+    try:
+        lineno, tokens = next(lines)
+    except StopIteration:
+        raise ParseError(f"missing '{form}' line", lineno + 1) from None
+    if len(tokens) != 2 or tokens[0] != key or not tokens[1].isdigit():
+        raise ParseError(f"expected '{form}'", lineno)
+    return lineno, int(tokens[1])
+
+
 def parse_pspace(text: str) -> WeightTable:
     """Parse a PTOP document; entry validation follows :func:`ptop.core.build`."""
     lines = _content_lines(text)
@@ -86,13 +98,7 @@ def parse_pspace(text: str) -> WeightTable:
     except StopIteration:
         raise ParseError("empty document, expected 'ptop 1' header", 1) from None
     _check_header(tokens, lineno, "ptop", PTOP_VERSION)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("missing 'n <ground size>' line", lineno + 1) from None
-    if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
-        raise ParseError("expected 'n <ground size>'", lineno)
-    n = int(tokens[1])
+    lineno, n = _size_line(lines, lineno, "n <ground size>")
     entries = []
     for lineno, tokens in lines:
         if len(tokens) != 2:
@@ -126,29 +132,22 @@ def parse_pmap(text: str) -> PointMap:
     except StopIteration:
         raise ParseError("empty document, expected 'pmap 1' header", 1) from None
     _check_header(tokens, lineno, "pmap", PMAP_VERSION)
-    sizes = {}
-    for key in ("dom", "cod"):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise ParseError(f"missing '{key} <size>' line", lineno + 1) from None
-        if len(tokens) != 2 or tokens[0] != key or not tokens[1].isdigit():
-            raise ParseError(f"expected '{key} <size>'", lineno)
-        sizes[key] = int(tokens[1])
+    lineno, dom = _size_line(lines, lineno, "dom <size>")
+    lineno, cod = _size_line(lines, lineno, "cod <size>")
     image: dict[int, int] = {}
     for lineno, tokens in lines:
         if len(tokens) != 2 or not tokens[0].isdigit() or not tokens[1].isdigit():
             raise ParseError("expected '<point> <image>'", lineno)
         x, y = int(tokens[0]), int(tokens[1])
-        if not 0 <= x < sizes["dom"]:
-            raise ParseError(f"point {x} outside domain of size {sizes['dom']}", lineno)
+        if not 0 <= x < dom:
+            raise ParseError(f"point {x} outside domain of size {dom}", lineno)
         if x in image:
             raise ParseError(f"point {x} assigned twice", lineno)
         image[x] = y
-    missing = [x for x in range(sizes["dom"]) if x not in image]
+    missing = [x for x in range(dom) if x not in image]
     if missing:
         raise ParseError(f"no image given for point {missing[0]}", lineno + 1)
-    return PointMap(sizes["dom"], sizes["cod"], tuple(image[x] for x in range(sizes["dom"])))
+    return PointMap(dom, cod, tuple(image[x] for x in range(dom)))
 
 
 def serialize_pmap(f: PointMap) -> str:

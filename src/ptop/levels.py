@@ -20,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _family_mask, _mask_defect, prob
+from .core import PSpace, _topology_table, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
-from .errors import (
-    ChainNotNested,
-    MissingBase,
-    NotATopology,
-    ProbabilityOutOfRange,
-)
+from .errors import ChainNotNested, MissingBase, ProbabilityOutOfRange
 from .masks import check_ground_size, check_mask
 
 
@@ -76,16 +71,10 @@ class LevelChain:
             last = q
         if self.levels[-1] != 1.0:
             raise ValueError("the last level must be 1")
-        tables = []
-        for topo in self.topologies:
-            member = _family_mask(self.n, topo)
-            defect = _mask_defect(self.n, member)
-            if defect is not None:
-                raise NotATopology(
-                    f"chain member is not a topology: {' '.join(map(str, defect))}",
-                    defect,
-                )
-            tables.append(member)
+        tables = [
+            _topology_table(self.n, topo, "chain member is not a topology")
+            for topo in self.topologies
+        ]
         for higher, lower in zip(tables, tables[1:]):
             if (lower & ~higher).any():
                 raise ChainNotNested("each topology must contain the next one")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace
+from .core import PSpace, _hull
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, NotASubset, PointOutOfRange
@@ -116,7 +116,9 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
 
     ``f`` is continuous from ``p`` to ``q`` when every codomain subset's
     value is matched or beaten by the value of its preimage.  Comparison
-    is exact; scanned in ascending mask order over 2^codomain subsets.
+    is exact, over the 2^codomain subsets in ascending mask order.  The
+    preimages of all of them come from one hull table, the OR of the
+    preimages of their points, so the whole check is O(2^codomain).
     """
     if f.domain_n != p.n or f.codomain_n != q.n:
         raise DimensionMismatch(
@@ -126,16 +128,9 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
     point_pre = [0] * q.n
     for x, y in enumerate(f.image):
         point_pre[y] |= 1 << x
-    pre = [0] * (1 << q.n)
-    p_table = p.table
-    q_table = q.table
-    for a in range(1, 1 << q.n):
-        low = a & -a
-        pre[a] = pre[a ^ low] | point_pre[low.bit_length() - 1]
-    for a in range(1 << q.n):
-        if p_table[pre[a]] < q_table[a]:
-            return a
-    return None
+    bad = np.asarray(p.table)[_hull(q.n, point_pre)] < np.asarray(q.table)
+    first = int(np.argmax(bad))
+    return first if bad[first] else None
 
 
 def is_pcontinuous(f: PointMap, p: PSpace, q: PSpace) -> bool:

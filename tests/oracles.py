@@ -206,6 +206,19 @@ def classically_continuous(image, opens_dom, opens_cod) -> bool:
     return True
 
 
+def brute_continuity_witness(image, dom_table, cod_table, cod_n):
+    """The smallest codomain mask valued above its preimage, or None; each
+    preimage is built bit by bit from the point images."""
+    for a in range(1 << cod_n):
+        pre = 0
+        for x, fx in enumerate(image):
+            if a >> fx & 1:
+                pre |= 1 << x
+        if dom_table[pre] < cod_table[a]:
+            return a
+    return None
+
+
 def brute_min_cover_indices(members, n):
     """Smallest covering index tuple, lexicographically first among ties."""
     full = (1 << n) - 1

@@ -460,3 +460,29 @@ def test_verify_lists_lowered_entry_violations_across_chunks():
                             expected.append((kind, a, b, req, 0.0))
         assert expected
         assert _pair_reports(WeightTable(n, tuple(lowered))) == expected
+
+
+def test_pair_scans_match_brute_force_across_small_chunks(monkeypatch):
+    # With 64 cells per chunk, the violation listing and defect naming both run
+    # in many row chunks at n <= 6; at n = 7 the listing also has more
+    # candidates than a chunk has cells.
+    monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", 64)
+    rng = rng_for(1212)
+    most = 0
+    for n in range(8):
+        for palette in ((0.0, 0.5, 1.0), (0.1, 0.4, 0.7, 1.0), (0.0, math.nan, 0.3, 0.9)):
+            for _ in range(20 if n < 7 else 2):
+                w = random_weight_table(n, rng, palette)
+                _check_reports_against_brute(w)
+                low = min((v for v in w.table if v == v), default=math.nan)
+                most = max(most, sum(v > low for v in w.table))
+    assert most > 64
+    crossed = 0
+    for n in range(7):
+        for family in _random_families(rng, n, 200):
+            defect = topology_defect(n, family)
+            assert defect == brute_topology_defect(n, family)
+            if defect and defect[0] in ("union", "intersection"):
+                rows = max(1, 64 // len(family))
+                crossed += sorted(family).index(defect[1]) >= rows
+    assert crossed

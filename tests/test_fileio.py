@@ -102,6 +102,33 @@ def test_parse_pmap_errors():
         parse_pmap("pmap 9\ndom 1\ncod 1\n0 0\n")
 
 
+@pytest.mark.parametrize(
+    "parse, doc, line, message",
+    [
+        (parse_pspace, "ptop 1\n", 2, "missing 'n <ground size>' line"),
+        (parse_pspace, "ptop 1\n# note\n\n", 2, "missing 'n <ground size>' line"),
+        (parse_pspace, "ptop 1\nn\n", 2, "expected 'n <ground size>'"),
+        (parse_pspace, "ptop 1\nn -1\n", 2, "expected 'n <ground size>'"),
+        (parse_pspace, "ptop 1\nn 0x2\n", 2, "expected 'n <ground size>'"),
+        (parse_pspace, "ptop 1\n\nsize 2\n", 3, "expected 'n <ground size>'"),
+        (parse_pspace, "ptop 1\nn 2 3\n", 2, "expected 'n <ground size>'"),
+        (parse_pmap, "pmap 1\n", 2, "missing 'dom <size>' line"),
+        (parse_pmap, "pmap 1\ncod 1\n", 2, "expected 'dom <size>'"),
+        (parse_pmap, "pmap 1\ndom x\ncod 1\n", 2, "expected 'dom <size>'"),
+        (parse_pmap, "pmap 1\ndom 2\n", 3, "missing 'cod <size>' line"),
+        (parse_pmap, "pmap 1\n\ndom 2 # two points\n", 4, "missing 'cod <size>' line"),
+        (parse_pmap, "pmap 1\ndom 2\n0 0\n", 3, "expected 'cod <size>'"),
+        (parse_pmap, "pmap 1\ndom 2\n\ncod -1\n", 4, "expected 'cod <size>'"),
+    ],
+)
+def test_size_line_errors_pin_messages(parse, doc, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert type(err.value) is ParseError
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_pmap_roundtrip():
     doc = "pmap 1\ndom 3\ncod 2\n0 1\n1 0\n2 1\n"
     assert serialize_pmap(parse_pmap(doc)) == doc

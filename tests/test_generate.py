@@ -88,9 +88,11 @@ def test_random_pspace_argument_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_random_pspace_above_the_pair_scan_cap(seed):
-    # At n = 16 verify_pairwise refuses; complete(p) == p says p is valid.
+def test_random_pspace_at_n16_is_valid_and_round_trips(seed):
+    # Validity is decided at any n, so verify_pairwise answers at n = 16 too;
+    # complete(p) == p says the same through the completion.
     p = random_pspace(16, 6, seed)
+    assert verify_pairwise(p) == []
     assert complete(p).table == p.table
     assert reconstruct(decompose(p)) == p
 

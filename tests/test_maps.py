@@ -31,6 +31,7 @@ from ptop import (
 )
 from oracles import (
     all_topologies,
+    brute_continuity_witness,
     brute_pairwise,
     brute_subspace_prob,
     classically_continuous,
@@ -112,6 +113,24 @@ def test_continuity_examples():
     indiscrete = as_pspace(build(2, []))
     assert continuity_witness(identity_map(2), indiscrete, P1) == 0b01
     assert not is_pcontinuous(identity_map(2), indiscrete, P1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(many_level_spaces(max_n=6), many_level_spaces(max_n=6), st.data())
+def test_continuity_matches_brute_force_on_many_level_spaces(w, v, data):
+    # Random and constant maps between ground sizes drawn apart; only the
+    # space on no points maps into a codomain on no points.
+    q = PSpace(v.n, v.table)
+    p = PSpace(w.n, w.table) if q.n else PSpace(0, (1.0,))
+    point = st.integers(0, max(q.n - 1, 0))
+    if data.draw(st.booleans()):
+        image = (data.draw(point),) * p.n
+    else:
+        image = tuple(data.draw(st.lists(point, min_size=p.n, max_size=p.n)))
+    f = PointMap(p.n, q.n, image)
+    expected = brute_continuity_witness(image, p.table, q.table, q.n)
+    assert continuity_witness(f, p, q) == expected
+    assert is_pcontinuous(f, p, q) == (expected is None)
 
 
 def test_continuity_dimension_mismatch():
