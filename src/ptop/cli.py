@@ -226,10 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except PtopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PtopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from ptop import build, serialize_pspace
 from ptop.cli import main
 
 P1_DOC = "ptop 1\nn 2\n1 0.5\n2 0.3\n"
@@ -135,6 +138,16 @@ def test_cover_command(files, capsys):
         capsys, "cover", files["p1"], "--q", "0.3", "--members", "1,2,3", "--minimal"
     )
     assert (code, out) == (0, "ok\nminimal 3\n")
+
+
+def test_cover_minimal_on_a_long_member_list(files, capsys):
+    # 1,502 members on 20 points whose minimum subcover has 2 members.
+    path = files["dir"] / "indiscrete20.ptop"
+    path.write_text(serialize_pspace(build(20, [])), encoding="utf-8")
+    fours = [sum(1 << x for x in c) for c in combinations(range(19), 4)][:1500]
+    members = ",".join(map(str, [(1 << 19) - 1, *fours, 1 << 19]))
+    code, out, _ = run(capsys, "cover", str(path), "--q", "0", "--members", members, "--minimal")
+    assert (code, out) == (0, "ok\nminimal 524287,524288\n")
 
 
 def test_generate_command_deterministic(files, capsys):

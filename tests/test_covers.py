@@ -1,9 +1,13 @@
+import hashlib
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from ptop import (
     Cover,
+    SplitMix64,
     DimensionMismatch,
     DuplicateMask,
     NotACover,
@@ -97,6 +101,48 @@ def test_min_subcover_matches_brute_force():
         cover = Cover(n, tuple(members))
         picks = brute_min_cover_indices(members, n)
         assert min_subcover(cover).members == tuple(members[i] for i in picks)
+
+
+def test_min_subcover_recursion_depth_follows_the_answer():
+    # One 19-point member, 1,500 four-point members inside it, then {19}: the
+    # answer has 2 members, so the search must not recurse once per member.
+    wide = (1 << 19) - 1
+    fours = [sum(1 << x for x in c) for c in combinations(range(19), 4)][:1500]
+    cover = Cover(20, (wide, *fours, 1 << 19))
+    assert min_subcover(cover).members == (524287, 524288)
+
+
+def benchmark_shaped_cover(rng):
+    """33-40 masks of 1-4 random points on 20 points, duplicates dropped,
+    then a singleton for each uncovered point."""
+    n = 20
+    members = []
+    for _ in range(33 + rng.below(8)):
+        points = 1 + rng.below(4)
+        m = 0
+        while m.bit_count() < points:
+            m |= 1 << rng.below(n)
+        if m not in members:
+            members.append(m)
+    covered = 0
+    for m in members:
+        covered |= m
+    members += [1 << x for x in range(n) if not covered >> x & 1]
+    return Cover(n, tuple(members))
+
+
+# SHA-256 of the min_subcover answers below, taken from the branch-and-bound
+# search; pins the minimum size and the lexicographic tie-break on covers too
+# large for the brute-force oracle.
+MIN_SUBCOVER_GRID_SHA256 = "4b0bf0cd097449c6ba8be7811d15172c35b1cc9b2b4e7a8ae0e1d69facecbb76"
+
+
+def test_min_subcover_answers_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        sub = min_subcover(benchmark_shaped_cover(SplitMix64(seed)))
+        digest.update((",".join(map(str, sub.members)) + "\n").encode())
+    assert digest.hexdigest() == MIN_SUBCOVER_GRID_SHA256
 
 
 def test_disconnection_examples():
