@@ -28,11 +28,16 @@ minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
 The listing scans the pairs of C in O(|C|^2), on top of the O(n^2 2^n)
 decision.
 
-A classical topology is the 0/1 table of its family (:func:`from_topology`),
-and on that table a pair of members is reported exactly when its union or
-intersection falls outside the family.  So the same pair scan names the
-first escaping pair of a family that is not a topology; both operations
-commute, so that pair has A <= B and the upper triangle suffices.
+A classical topology is the 0/1 table of its family (:func:`from_topology`).
+A family is one exactly when it equals its closure: the sets holding, with
+each point x, its minimal neighbourhood N(x), the AND of the members
+holding x (Alexandroff).  With non-members read as the full set, the AND of
+the upper half of the table is N(x) for the top point x, and ANDing the
+halves folds x away: every N(x) in one O(2^n) pass.  On the 0/1 table a
+pair of members is reported exactly when its union or intersection falls
+outside the family.  So the same pair scan names the first escaping pair
+of a family that is not a topology; both operations commute, so that pair
+has A <= B and the upper triangle suffices.
 
 Probabilities are binary64 values that are only ever compared, copied,
 min-ed and max-ed, never combined arithmetically, so they survive every
@@ -212,8 +217,11 @@ def _recon(sep: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _pair_reports(t: np.ndarray, cand: np.ndarray):
-    """Yield the union, then the intersection, pair reports over ``cand``.
+_PAIR_OPS = (("union", np.bitwise_or), ("intersection", np.bitwise_and))
+
+
+def _pair_reports(t: np.ndarray, cand: np.ndarray, ops=_PAIR_OPS):
+    """Yield the pair reports over ``cand`` of each (kind, ufunc) of ``ops``, in order.
 
     ``cand`` holds ascending masks.  Each yield is one row chunk's
     (kind, a, b, required, actual) witness arrays: the pairs A <= B of
@@ -222,7 +230,7 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
     _CHUNK_CELLS cells, or one row.
     """
     rows = max(1, _CHUNK_CELLS // max(1, cand.size))
-    for op, kind in ((np.bitwise_or, "union"), (np.bitwise_and, "intersection")):
+    for kind, op in ops:
         for start in range(0, cand.size, rows):
             a = cand[start : start + rows, None]
             b = cand[None, start:]  # pairs with B < A are never reported
@@ -392,15 +400,33 @@ def _hull(n: int, parts) -> np.ndarray:
     return hull
 
 
-def _open_sets(n: int, nbhd) -> np.ndarray:
-    """The boolean table of the subsets S holding, with each point x, ``nbhd[x]``.
+def _closure(n: int, member: np.ndarray) -> np.ndarray:
+    """The boolean table of the least topology holding the family marked by ``member``.
 
-    Those are the open sets of the topology whose minimal neighbourhoods
-    are the ``nbhd[x]`` (each holding x).  Since nbhd[x] holds x, the hull
-    OR{nbhd[x] : x in S} contains S, and S qualifies exactly when the two
-    are equal: O(2^n) after the n neighbourhoods.
+    One O(2^n) fold gives every minimal neighbourhood N(x) (see the module
+    docstring); S is open exactly when the hull OR{N(x) : x in S}, which
+    contains S, equals S.
     """
+    table = np.where(member, np.arange(1 << n), (1 << n) - 1)
+    nbhd = [0] * n
+    for x in reversed(range(n)):
+        nbhd[x] = np.bitwise_and.reduce(table[1 << x :])
+        table = table[: 1 << x] & table[1 << x :]
     return _hull(n, nbhd) == np.arange(1 << n)
+
+
+def _union_closed(n: int, member: np.ndarray) -> bool:
+    """Whether the family marked by ``member``, holding the empty set, is closed under unions.
+
+    U(S), the OR of the members inside S, is a union of members, and
+    U(a | b) = a | b for members a and b; so the family is closed exactly
+    when every U(S) is a member.  U is built one point at a time: O(n 2^n).
+    """
+    union = np.where(member, np.arange(1 << n), 0)
+    for x in range(n):
+        halves = union.reshape(-1, 2, 1 << x)
+        halves[:, 1] |= halves[:, 0]
+    return bool(member[union].all())
 
 
 def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
@@ -409,16 +435,13 @@ def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
         return ("missing-empty",)
     if not member[-1]:
         return ("missing-full",)
-    # A family holding the empty and full sets is a topology exactly when it
-    # equals the family built from its minimal neighbourhoods N(x), the AND
-    # of its members holding x (Alexandroff): O(n 2^n).
-    arr = np.nonzero(member)[0]
-    nbhd = [np.bitwise_and.reduce(arr[arr >> x & 1 == 1]) for x in range(n)]
-    if np.array_equal(member, _open_sets(n, nbhd)):
+    if np.array_equal(member, _closure(n, member)):
         return None
     # Not a topology: the pair scan of its 0/1 table names the first escaping
-    # pair (see the module docstring).
-    for kind, a, b, _, _ in _pair_reports(member, arr):
+    # pair (see the module docstring).  A family closed under unions has no
+    # union defect, so its scan starts at the intersections.
+    ops = _PAIR_OPS[1:] if _union_closed(n, member) else _PAIR_OPS
+    for kind, a, b, _, _ in _pair_reports(member, np.nonzero(member)[0], ops):
         if a.size:
             return (kind, int(a[0]), int(b[0]))
     # Closure under pairs, with the empty and full sets, makes a topology.
@@ -435,11 +458,12 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     On a finite ground set pairwise closure implies closure under
     arbitrary unions.
 
-    Closedness is decided in O(n 2^n) through the minimal neighbourhoods
-    of the family.  Only a family that fails goes on to name its defect,
-    through the violation listing's pair scan on its 0/1 table: since both
+    Closedness is decided in O(2^n) by comparing the family with its
+    closure.  Only a family that fails goes on to name its defect, through
+    the violation listing's pair scan on its 0/1 table: since both
     operations commute, the first escaping pair has a <= b, so the scan
-    covers only the upper triangle of the O(|opens|^2) pair grid.
+    covers only the upper triangle of the O(|opens|^2) pair grid.  It skips
+    the union pass when an O(n 2^n) check finds the family union-closed.
     """
     return _mask_defect(n, _family_mask(n, set(opens)))
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _open_sets
+from .core import PSpace, _closure, _family_mask
 from .levels import LevelChain, reconstruct
-from .masks import check_ground_size, check_mask, full_mask
+from .masks import check_ground_size
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -66,18 +66,10 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
 
     Its open sets are those that hold, with each point x, the minimal
     neighbourhood N(x): the intersection of the full set and every seed
-    containing x.  O(n |seeds|) for the neighbourhoods, then O(2^n).
+    containing x.  O(2^n) after marking the seeds, through
+    :func:`~ptop.core._closure`.
     """
-    seeds = list(seeds)
-    for seed in seeds:
-        check_mask(seed, n)
-    nbhd = []
-    for x in range(n):
-        nbhd.append(full_mask(n))
-        for seed in seeds:
-            if seed >> x & 1:
-                nbhd[x] &= seed
-    return frozenset(np.nonzero(_open_sets(n, nbhd))[0].tolist())
+    return frozenset(np.nonzero(_closure(n, _family_mask(n, list(seeds))))[0].tolist())
 
 
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:

@@ -48,8 +48,8 @@ class LevelChain:
         and closedness (:class:`MaskOutOfRange`, :class:`NotATopology`),
         then nesting (:class:`ChainNotNested`), then the base.  Each member
         becomes one boolean table over the 2^n subsets, and closedness is
-        decided on it in O(n 2^n) through minimal neighbourhoods, so a chain
-        of k members costs O(k n 2^n) plus one pass over its members; the
+        decided on it in O(2^n) by comparing it with its closure, so a chain
+        of k members costs O(k 2^n) plus one pass over its members; the
         pair scan of :func:`~ptop.core.topology_defect` runs only to name
         the defect of a member that fails.
         """
@@ -134,7 +134,7 @@ def reconstruct(chain: LevelChain) -> PSpace:
     being 1 gives the boundary axiom.
 
     Validation (see :meth:`LevelChain.validate`) dominates the cost,
-    O(k n 2^n) for k members; the table is then filled in one numpy
+    O(k 2^n) for k members; the table is then filled in one numpy
     assignment per level, bit-exactly (a -0.0 level or base stays -0.0).
     """
     tables = chain._member_tables()

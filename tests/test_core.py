@@ -297,6 +297,23 @@ def test_topology_defect_matches_brute_on_random_families():
                     from_topology(n, family)
                 assert err.value.defect == defect
     assert kinds == {None, "missing-empty", "missing-full", "union", "intersection"}
+    # Closures with one member toggled, on enough points that every fold of
+    # the closure kernel runs.
+    kinds = set()
+    for n in range(6, 9):
+        for _ in range(20):
+            family = brute_closure(n, [rng.below(1 << n) for _ in range(rng.below(n + 2))])
+            family ^= {rng.below(1 << n)}
+            defect = topology_defect(n, family)
+            assert defect == brute_topology_defect(n, family)
+            if defect is None:
+                assert is_classical_topology(n, family)
+                continue
+            kinds.add(defect[0])
+            with pytest.raises(NotATopology) as err:
+                from_topology(n, family)
+            assert err.value.defect == defect
+    assert {"union", "intersection"} <= kinds
 
 
 @pytest.mark.parametrize("bad", [2**70, -1, 8])
@@ -409,6 +426,36 @@ def test_complete_on_nan_returns_promptly_in_a_child():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (done.returncode, done.stdout) == (0, "raised\n")
+
+
+def test_topology_defect_on_a_union_closed_family_returns_promptly_in_a_child():
+    # {empty} with every set of at least two points is closed under unions,
+    # and its first escaping pair is an intersection; naming it must not scan
+    # every pair for a union first.  A child with a timeout turns a slow
+    # scan into a failure instead of a stalled suite.
+    code = (
+        "from ptop import NotATopology, from_topology, topology_defect\n"
+        "n = 17\n"
+        "family = [0] + [m for m in range(1 << n) if m.bit_count() >= 2]\n"
+        "print(topology_defect(n, family))\n"
+        "try:\n"
+        "    from_topology(n, family)\n"
+        "except NotATopology as err:\n"
+        "    print(err.defect, err)\n"
+    )
+    src = str(Path(ptop.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (
+        0,
+        "('intersection', 3, 5)\n"
+        "('intersection', 3, 5) not a topology: intersection 3 5\n",
+    )
 
 
 def test_complete_normalizes_signed_zeros():

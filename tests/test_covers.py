@@ -11,6 +11,7 @@ from ptop import (
     DimensionMismatch,
     DuplicateMask,
     NotACover,
+    PSpace,
     as_pspace,
     build,
     connectivity_threshold,
@@ -24,9 +25,11 @@ from ptop import (
     random_pspace,
 )
 from oracles import (
+    PALETTE_LEVELS,
     brute_disconnected,
     brute_min_cover_indices,
     brute_threshold,
+    many_level_spaces,
     rng_for,
 )
 
@@ -59,6 +62,17 @@ def test_qcover_monotone_downward_in_q():
         lo = hi * rng.unit()
         if is_qcover(p, cover, hi):
             assert is_qcover(p, cover, lo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_level_spaces(), st.data())
+def test_qcover_monotone_downward_in_q_on_many_level_spaces(w, data):
+    p = PSpace(w.n, w.table)
+    cover = Cover(p.n, tuple(data.draw(st.sets(st.integers(0, (1 << p.n) - 1), max_size=3))))
+    level = st.sampled_from(PALETTE_LEVELS) | st.floats(0, 1)
+    lo, hi = sorted((data.draw(level), data.draw(level)))
+    if is_qcover(p, cover, hi):
+        assert is_qcover(p, cover, lo)
 
 
 def test_qcompact_is_trivially_true():
@@ -164,17 +178,26 @@ def test_threshold_examples():
     assert connectivity_threshold(empty) == float("-inf")
 
 
+def _check_connectivity(p):
+    m = connectivity_threshold(p)
+    want = brute_threshold(p.table, p.n)
+    assert (want is None and m == float("-inf")) or m == want
+    for q in sorted(set(p.table)) + [0.0, 1.0]:
+        assert is_qconnected(p, q) == (not brute_disconnected(p.table, p.n, q))
+        assert is_qconnected(p, q) == (q > m)
+
+
 def test_connectivity_matches_brute_force():
     rng = rng_for(909)
     for _ in range(50):
         n = rng.below(7)
-        p = random_pspace(n, 1 + rng.below(3), rng.next64())
-        m = connectivity_threshold(p)
-        want = brute_threshold(p.table, n)
-        assert (want is None and m == float("-inf")) or m == want
-        for q in sorted(set(p.table)) + [0.0, 1.0]:
-            assert is_qconnected(p, q) == (not brute_disconnected(p.table, n, q))
-            assert is_qconnected(p, q) == (q > m)
+        _check_connectivity(random_pspace(n, 1 + rng.below(3), rng.next64()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_level_spaces(max_n=6))
+def test_connectivity_matches_brute_force_on_many_level_spaces(w):
+    _check_connectivity(PSpace(w.n, w.table))
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,5 +207,7 @@ def test_connectedness_monotone_in_q(n, seed, data):
     q1 = data.draw(st.floats(0, 1))
     q2 = data.draw(st.floats(0, 1))
     lo, hi = min(q1, q2), max(q1, q2)
-    if is_qconnected(p, lo):
-        assert is_qconnected(p, hi)
+    w = data.draw(many_level_spaces(max_n=6))
+    for space in (p, PSpace(w.n, w.table)):
+        if is_qconnected(space, lo):
+            assert is_qconnected(space, hi)

@@ -49,10 +49,15 @@ def test_topology_closure():
 
 def test_topology_closure_matches_brute_fixpoint():
     rng = rng_for(707)
-    for n in range(7):
-        for _ in range(60 if n < 6 else 15):
+    for n in range(9):
+        for _ in range(60 if n < 6 else 15 if n < 8 else 8):
             seeds = [rng.below(1 << n) for _ in range(rng.below(n + 3))]
             assert topology_closure(n, seeds) == brute_closure(n, seeds)
+    # Seed lists holding the empty set, the full set or repeated masks.
+    for n in range(9):
+        seeds = [rng.below(1 << n) for _ in range(1 + rng.below(n + 2))]
+        for extra in ([0], [(1 << n) - 1], seeds[:2], [0, (1 << n) - 1, 0]):
+            assert topology_closure(n, seeds + extra) == brute_closure(n, seeds + extra)
 
 
 @pytest.mark.parametrize("seed", [4, 5, -1, -4])

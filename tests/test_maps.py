@@ -58,17 +58,26 @@ def test_subspace_prob_examples():
         subspace_prob(P1, 0b01, 0b10)
 
 
+def _check_subspace_prob(p, y):
+    for a in range(1 << p.n):
+        if a & ~y:
+            continue
+        assert subspace_prob(p, y, a) == brute_subspace_prob(p.table, p.n, y, a)
+        assert subspace_prob(p, y, a) >= p.table[a]  # trace dominance
+
+
 def test_subspace_prob_matches_brute_force():
     rng = rng_for(404)
     for _ in range(30):
         n = rng.below(6)
         p = random_pspace(n, 1 + rng.below(3), rng.next64())
-        y = rng.below(1 << n) if n else 0
-        for a in range(1 << n):
-            if a & ~y:
-                continue
-            assert subspace_prob(p, y, a) == brute_subspace_prob(p.table, n, y, a)
-            assert subspace_prob(p, y, a) >= p.table[a]  # trace dominance
+        _check_subspace_prob(p, rng.below(1 << n) if n else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_level_spaces(max_n=6), st.data())
+def test_subspace_prob_matches_brute_force_on_many_level_spaces(w, data):
+    _check_subspace_prob(PSpace(w.n, w.table), data.draw(st.integers(0, full_mask(w.n))))
 
 
 def test_subspace_examples():
@@ -158,6 +167,14 @@ def test_inclusion_is_continuous_for_subspaces():
         assert continuity_witness(inclusion_map(y, n), subspace(p, y), p) is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(many_level_spaces(max_n=6), st.data())
+def test_inclusion_is_continuous_for_subspaces_on_many_level_spaces(w, data):
+    p = PSpace(w.n, w.table)
+    y = data.draw(st.integers(0, full_mask(p.n)))
+    assert continuity_witness(inclusion_map(y, p.n), subspace(p, y), p) is None
+
+
 def _pullback_table(f: PointMap, target) -> WeightTable:
     # Smallest weights on the domain making f continuous into target.
     values = [0.0] * (1 << f.domain_n)
@@ -165,6 +182,16 @@ def _pullback_table(f: PointMap, target) -> WeightTable:
         b = preimage(f, a)
         values[b] = max(values[b], target.table[a])
     return WeightTable(f.domain_n, tuple(values))
+
+
+def _check_composition(f: PointMap, g: PointMap, r):
+    # Pull r back along g, then along f: both maps are continuous, so their
+    # composite must be too.
+    q = complete(_pullback_table(g, r))
+    p = complete(_pullback_table(f, q))
+    assert continuity_witness(f, p, q) is None
+    assert continuity_witness(g, q, r) is None
+    assert continuity_witness(compose(f, g), p, r) is None
 
 
 def test_composition_preserves_continuity():
@@ -175,14 +202,21 @@ def test_composition_preserves_continuity():
         g = PointMap(ny, nz, tuple(rng.below(nz) for _ in range(ny))) if nz else None
         if g is None:
             continue
-        q = complete(_pullback_table(g, r))
         f = PointMap(nx, ny, tuple(rng.below(ny) for _ in range(nx))) if ny else None
         if f is None:
             continue
-        p = complete(_pullback_table(f, q))
-        assert continuity_witness(f, p, q) is None
-        assert continuity_witness(g, q, r) is None
-        assert continuity_witness(compose(f, g), p, r) is None
+        _check_composition(f, g, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_level_spaces(max_n=4), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_composition_preserves_continuity_on_many_level_spaces(w, nx, ny, data):
+    r = PSpace(w.n, w.table)
+    if not r.n:
+        return  # no map from a nonempty ground set into the empty one
+    g = PointMap(ny, r.n, tuple(data.draw(st.lists(st.integers(0, r.n - 1), min_size=ny, max_size=ny))))
+    f = PointMap(nx, ny, tuple(data.draw(st.lists(st.integers(0, ny - 1), min_size=nx, max_size=nx))))
+    _check_composition(f, g, r)
 
 
 def test_classical_equivalence_on_two_points():
@@ -208,6 +242,9 @@ def test_classical_equivalence_on_two_points():
 def test_subspace_is_always_valid(n, seed, data):
     p = random_pspace(n, 2, seed)
     y = data.draw(st.integers(0, full_mask(n)))
-    s = subspace(p, y)
-    assert s.n == y.bit_count()
-    assert not verify_pairwise(s)
+    w = data.draw(many_level_spaces(max_n=6))
+    z = data.draw(st.integers(0, full_mask(w.n)))
+    for space, mask in ((p, y), (PSpace(w.n, w.table), z)):
+        s = subspace(space, mask)
+        assert s.n == mask.bit_count()
+        assert not verify_pairwise(s)

@@ -1,7 +1,10 @@
-"""Checks on the library's source text itself."""
+"""Checks on the library's source text itself, and on the names that tools
+outside the package look up in it."""
 
 import ast
+import importlib
 from pathlib import Path
+import runpy
 
 import ptop
 
@@ -13,3 +16,15 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    # benchmarks/spans.py wraps public names by namespace; a renamed or
+    # moved name would only surface in a traced benchmark run.
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"))
+    missing = [
+        f"{namespace}.{name}"
+        for namespace, name, _ in spans["PATCHED"]
+        if not hasattr(importlib.import_module(namespace), name)
+    ]
+    assert spans["PATCHED"] and missing == []
