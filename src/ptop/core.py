@@ -19,13 +19,14 @@ minimum, and A = S gives at most.  Reading any table through its matrix
 and back, recon(T_w), always yields a valid space, and the least one
 dominating w.  Hence an in-range table is valid exactly when it equals
 recon(T_w), which :func:`verify_pairwise` and :func:`complete` check and
-build in O(n^2 2^n).
+build in O(n 2^n): both directions work per point x, one fold of 2^n cells
+each (see :func:`_separation` and :func:`_recon`).
 
 Listing the violations of an invalid table needs only the candidate
 masks C, those valued strictly above m, the least non-NaN value: a pair
 violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
 minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
-The listing scans the pairs of C in O(|C|^2), on top of the O(n^2 2^n)
+The listing scans the pairs of C in O(|C|^2), on top of the O(n 2^n)
 decision.
 
 A classical topology is the 0/1 table of its family (:func:`from_topology`).
@@ -37,7 +38,9 @@ halves folds x away: every N(x) in one O(2^n) pass.  On the 0/1 table a
 pair of members is reported exactly when its union or intersection falls
 outside the family.  So the same pair scan names the first escaping pair
 of a family that is not a topology; both operations commute, so that pair
-has A <= B and the upper triangle suffices.
+has A <= B and the upper triangle suffices.  A union-closed family skips
+the scan: its minimal members give its first bad row in one O(n 2^n) fold
+(:func:`_intersection_defect`).
 
 Probabilities are binary64 values that are only ever compared, copied,
 min-ed and max-ed, never combined arithmetically, so they survive every
@@ -70,6 +73,9 @@ EXHAUSTIVE_CAP = 4
 
 # Cells per chunk when materialising pair grids; bounds peak memory.
 _CHUNK_CELLS = 1 << 22
+# Cells per block of per-point tables in the separation and reconstruction
+# folds: small tables fold all points at once, an N_MAX table one at a time.
+_FOLD_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class PSpace(WeightTable):
     subspace construction or level-chain reconstruction are valid by
     construction (the test suite checks reconstruction and subspaces
     against brute-force oracles).
-    :func:`as_pspace` decides validity in O(n^2 2^n) through the
+    :func:`as_pspace` decides validity in O(n 2^n) through the
     separation matrix.
     """
 
@@ -188,31 +194,49 @@ def _out_of_range(t: np.ndarray) -> np.ndarray:
     return np.nonzero(~((t >= 0.0) & (t <= 1.0)))[0]
 
 
-def _pair_views(table: np.ndarray, n: int):
-    """Yield (x, y, view) for x != y, the view holding the A with x in A, y not."""
-    cube = table.reshape((2,) * n)  # axis n-1-i is bit i of the mask
-    for x in range(n):
-        for y in range(n):
-            if x != y:
-                index = [slice(None)] * n
-                index[n - 1 - x] = 1
-                index[n - 1 - y] = 0
-                yield x, y, cube[(*index, ...)]  # ... keeps n = 2 a view
+def _point_blocks(n: int) -> list[range]:
+    """Consecutive ranges of points whose per-point tables, 2^n cells each, fold together."""
+    rows = max(1, _FOLD_CELLS >> n)
+    return [range(x, min(n, x + rows)) for x in range(0, n, rows)]
 
 
 def _separation(t: np.ndarray, n: int) -> np.ndarray:
-    """T[x, y] = max{t[A] : x in A, y not in A}; the diagonal is unused."""
+    """T[x, y] = max{t[A] : x in A, y not in A}; the diagonal is unused.
+
+    Per point x, the half of the table with x in A is maxed down one point
+    at a time, top point first.  Just before point y is folded away, the
+    max over the half with y outside is T[x, y].  A row of n - 1 entries
+    then costs about 2^n cells, O(n 2^n) in all.  The points of a block
+    fold together, one row of stacked halves each.
+    """
     sep = np.zeros((n, n))
-    for x, y, view in _pair_views(t, n):
-        sep[x, y] = view.max()
+    for xs in _point_blocks(n):
+        half = np.empty((len(xs), t.size >> 1))
+        for row, x in zip(half, xs):
+            row.reshape(-1, 1 << x)[:] = t.reshape(-1, 2, 1 << x)[:, 1]
+        points = np.arange(xs.start, xs.stop)
+        # Bit k of a half's index is point k below x and point k + 1 above it.
+        for k in reversed(range(n - 1)):
+            low, high = half[:, : 1 << k], half[:, 1 << k :]
+            sep[points, k + (k >= points)] = low.max(axis=1)
+            half = np.maximum(low, high)
     return sep
 
 
 def _recon(sep: np.ndarray, n: int) -> np.ndarray:
-    """The table S -> min{sep[x, y] : x in S, y not in S}, 1 on the empty and full sets."""
+    """The table S -> min{sep[x, y] : x in S, y not in S}, 1 on the empty and full sets.
+
+    Per point x, g(C) = min{sep[x, y] : y in C} comes from one doubling
+    pass, and g reversed maps S to g of the complement of S.  Folding
+    min(out, reversed g) into the half with x in S gives out in O(n 2^n).
+    The points of a block double together.
+    """
     out = np.full(1 << n, np.inf)
-    for x, y, view in _pair_views(out, n):
-        np.minimum(view, sep[x, y], out=view)
+    for xs in _point_blocks(n):
+        cols = sep[xs].T[..., None]
+        for row, x in zip(_subset_fold(cols, np.minimum, np.inf, (len(xs),))[:, ::-1], xs):
+            half = out.reshape(-1, 2, 1 << x)[:, 1]
+            np.minimum(half, row.reshape(-1, 2, 1 << x)[:, 1], out=half)
     out[0] = out[-1] = 1.0  # the only subsets with no (x, y) pair
     return out
 
@@ -220,8 +244,8 @@ def _recon(sep: np.ndarray, n: int) -> np.ndarray:
 _PAIR_OPS = (("union", np.bitwise_or), ("intersection", np.bitwise_and))
 
 
-def _pair_reports(t: np.ndarray, cand: np.ndarray, ops=_PAIR_OPS):
-    """Yield the pair reports over ``cand`` of each (kind, ufunc) of ``ops``, in order.
+def _pair_reports(t: np.ndarray, cand: np.ndarray):
+    """Yield the pair reports over ``cand`` of each (kind, ufunc) of _PAIR_OPS, in order.
 
     ``cand`` holds ascending masks.  Each yield is one row chunk's
     (kind, a, b, required, actual) witness arrays: the pairs A <= B of
@@ -230,7 +254,7 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray, ops=_PAIR_OPS):
     _CHUNK_CELLS cells, or one row.
     """
     rows = max(1, _CHUNK_CELLS // max(1, cand.size))
-    for kind, op in ops:
+    for kind, op in _PAIR_OPS:
         for start in range(0, cand.size, rows):
             a = cand[start : start + rows, None]
             b = cand[None, start:]  # pairs with B < A are never reported
@@ -244,7 +268,7 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray, ops=_PAIR_OPS):
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     """List the axiom violations of ``w``; empty result == valid space.
 
-    Validity is decided in O(n^2 2^n) at any ground size: an in-range table
+    Validity is decided in O(n 2^n) at any ground size: an in-range table
     with its boundary at 1 is valid exactly when it equals its
     reconstruction from its separation matrix.  Only an invalid table goes
     on to list its union and intersection violations, scanning the pairs of
@@ -341,7 +365,7 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
 
 
 def complete(w: WeightTable) -> PSpace:
-    """The pointwise-least valid space dominating ``w``, in O(n^2 2^n).
+    """The pointwise-least valid space dominating ``w``, in O(n 2^n).
 
     It is the reconstruction of ``w`` from its separation matrix: every
     such reconstruction is valid and dominates ``w``, and any valid space
@@ -392,12 +416,22 @@ def _family_mask(n: int, members) -> np.ndarray:
     return member
 
 
-def _hull(n: int, parts) -> np.ndarray:
-    """The table S -> OR{parts[x] : x in S}, doubling one point at a time: O(2^n)."""
-    hull = np.zeros(1 << n, dtype=np.int64)
-    for x in range(n):
-        hull[1 << x : 2 << x] = hull[: 1 << x] | parts[x]
-    return hull
+def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:
+    """The table S -> op over {parts[x] : x in S}, ``empty`` on the empty set.
+
+    It doubles one point at a time: O(2^n) per table.  With ``rows``, each
+    ``parts[x]`` is a column of one value per row, and the result stacks
+    one table per row.
+    """
+    out = np.full((*rows, 1 << len(parts)), empty)
+    for x, part in enumerate(parts):
+        op(out[..., : 1 << x], part, out=out[..., 1 << x : 2 << x])
+    return out
+
+
+def _hull(parts) -> np.ndarray:
+    """The table S -> OR{parts[x] : x in S} over the len(parts) points: O(2^n)."""
+    return _subset_fold(parts, np.bitwise_or, 0)
 
 
 def _closure(n: int, member: np.ndarray) -> np.ndarray:
@@ -412,21 +446,47 @@ def _closure(n: int, member: np.ndarray) -> np.ndarray:
     for x in reversed(range(n)):
         nbhd[x] = np.bitwise_and.reduce(table[1 << x :])
         table = table[: 1 << x] & table[1 << x :]
-    return _hull(n, nbhd) == np.arange(1 << n)
+    return _hull(nbhd) == np.arange(1 << n)
 
 
-def _union_closed(n: int, member: np.ndarray) -> bool:
-    """Whether the family marked by ``member``, holding the empty set, is closed under unions.
+def _interior(n: int, member: np.ndarray) -> np.ndarray:
+    """U(S), the OR of the members inside S, for every S, one point at a time: O(n 2^n).
 
-    U(S), the OR of the members inside S, is a union of members, and
-    U(a | b) = a | b for members a and b; so the family is closed exactly
-    when every U(S) is a member.  U is built one point at a time: O(n 2^n).
+    U(S) is a union of members, and U(a | b) = a | b for members a and b;
+    so the family is closed under unions exactly when every U(S) is a member.
     """
     union = np.where(member, np.arange(1 << n), 0)
     for x in range(n):
         halves = union.reshape(-1, 2, 1 << x)
         halves[:, 1] |= halves[:, 0]
-    return bool(member[union].all())
+    return union
+
+
+def _intersection_defect(n: int, member: np.ndarray, interior: np.ndarray) -> tuple[int, int]:
+    """The first pair of members whose intersection escapes a union-closed family.
+
+    ``interior`` is the family's :func:`_interior`, and the family holds the
+    empty and full sets but is no topology.  A member a meets some member b
+    outside the family exactly when a point x of a lies in a minimal member
+    holding x that is not inside a.  (Given such a b, the union of the
+    members inside a & b is a member, so it misses some x in a & b; a
+    minimal member holding x inside b is then not inside a.  Given such a
+    minimal member m, a & m holds x and lies strictly inside m, so it is no
+    member.)  So with W(x) the OR of the minimal members holding x, the bad
+    rows are the members a with hull(W)[a] != a.  No earlier row holds a bad
+    pair, so the first bad row's partner is its first member b >= a with
+    a & b outside.  O(n 2^n) in all.
+    """
+    masks = np.arange(1 << n)
+    inside = np.zeros(1 << n, dtype=np.int64)  # the OR of the members strictly inside S
+    for x in range(n):
+        inside.reshape(-1, 2, 1 << x)[:, 1] |= interior.reshape(-1, 2, 1 << x)[:, 0]
+    # A member m is minimal among those holding x exactly when x is in m but not inside[m].
+    own = np.where(member, masks & ~inside, 0)
+    reach = [np.bitwise_or.reduce(masks[(own >> x & 1).astype(bool)]) for x in range(n)]
+    a = int(np.argmax(member & (_hull(reach) != masks)))
+    later = np.nonzero(member[a:])[0] + a
+    return a, int(later[np.argmin(member[a & later])])
 
 
 def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
@@ -437,11 +497,12 @@ def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
         return ("missing-full",)
     if np.array_equal(member, _closure(n, member)):
         return None
-    # Not a topology: the pair scan of its 0/1 table names the first escaping
-    # pair (see the module docstring).  A family closed under unions has no
-    # union defect, so its scan starts at the intersections.
-    ops = _PAIR_OPS[1:] if _union_closed(n, member) else _PAIR_OPS
-    for kind, a, b, _, _ in _pair_reports(member, np.nonzero(member)[0], ops):
+    interior = _interior(n, member)
+    if member[interior].all():  # closed under unions, so not under intersections
+        return ("intersection", *_intersection_defect(n, member, interior))
+    # The pair scan of its 0/1 table names the first escaping pair (see the
+    # module docstring).
+    for kind, a, b, _, _ in _pair_reports(member, np.nonzero(member)[0]):
         if a.size:
             return (kind, int(a[0]), int(b[0]))
     # Closure under pairs, with the empty and full sets, makes a topology.
@@ -459,11 +520,12 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     arbitrary unions.
 
     Closedness is decided in O(2^n) by comparing the family with its
-    closure.  Only a family that fails goes on to name its defect, through
-    the violation listing's pair scan on its 0/1 table: since both
-    operations commute, the first escaping pair has a <= b, so the scan
-    covers only the upper triangle of the O(|opens|^2) pair grid.  It skips
-    the union pass when an O(n 2^n) check finds the family union-closed.
+    closure.  Only a family that fails goes on to name its defect.  When an
+    O(n 2^n) check finds it closed under unions, an O(n 2^n) fold names its
+    intersection defect.  Any other family goes through the violation
+    listing's pair scan on its 0/1 table: since both operations commute, the
+    first escaping pair has a <= b, so the scan covers only the upper
+    triangle of the O(|opens|^2) pair grid.
     """
     return _mask_defect(n, _family_mask(n, set(opens)))
 

@@ -128,7 +128,7 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
     point_pre = [0] * q.n
     for x, y in enumerate(f.image):
         point_pre[y] |= 1 << x
-    bad = np.asarray(p.table)[_hull(q.n, point_pre)] < np.asarray(q.table)
+    bad = np.asarray(p.table)[_hull(point_pre)] < np.asarray(q.table)
     first = int(np.argmax(bad))
     return first if bad[first] else None
 

@@ -13,7 +13,7 @@ from typing import Iterator
 from .errors import CapExceeded, MaskOutOfRange, NotASubset, PtopError
 
 # Absolute ground-size cap. Tables above 2^20 entries stop being
-# desk-scale even for the O(n^2 2^n) decision and completion; individual
+# desk-scale even for the O(n 2^n) decision and completion; individual
 # operations document tighter caps of their own.
 N_MAX = 20
 

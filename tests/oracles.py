@@ -77,6 +77,20 @@ def brute_complete(table, n):
     return t
 
 
+def brute_separation(table, n):
+    """The separation matrix by plain loops: entry [x][y] is the max of the
+    table over the subsets holding x but not y; None on the diagonal, where
+    there is no such subset."""
+    sep = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                sep[x][y] = max(
+                    table[mask] for mask in range(1 << n) if mask >> x & 1 and not mask >> y & 1
+                )
+    return sep
+
+
 def brute_recon(sep, n):
     """The table S -> min of sep[x][y] over x in S, y not in S (1 when there
     is no such pair, i.e. on the empty and full sets)."""

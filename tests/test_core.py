@@ -7,6 +7,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from ptop import (
@@ -34,6 +35,7 @@ from oracles import (
     brute_families,
     brute_pairwise,
     brute_recon,
+    brute_separation,
     brute_topology_defect,
     is_classical_topology,
     many_level_spaces,
@@ -316,6 +318,48 @@ def test_topology_defect_matches_brute_on_random_families():
     assert {"union", "intersection"} <= kinds
 
 
+def _union_closure(n, seeds):
+    """Every union of ``seeds``, with the empty and full sets, by plain fixpoint."""
+    family = {0, (1 << n) - 1, *seeds}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(family):
+            for b in list(family):
+                if a | b not in family:
+                    family.add(a | b)
+                    changed = True
+    return family
+
+
+def test_union_closed_families_name_the_same_defect_as_brute_force():
+    # A family closed under unions names its intersection defect by a fold
+    # over its minimal members, not by the pair scan; the defect and the
+    # NotATopology message must be those of the plain loops.
+    rng = rng_for(1414)
+    named = 0
+    for n in range(8):
+        families = [
+            _union_closure(n, [rng.below(1 << n) for _ in range(rng.below(n + 3))])
+            for _ in range(60)
+        ]
+        if n >= 2:
+            families.append(set(range(1 << n)) - {1 << (n - 1)})
+            families.append({0} | {m for m in range(1 << n) if m.bit_count() >= 2})
+        for family in families:
+            defect = brute_topology_defect(n, family)
+            assert topology_defect(n, family) == defect
+            if defect is None:
+                continue
+            assert defect[0] == "intersection"
+            named += 1
+            with pytest.raises(NotATopology) as err:
+                from_topology(n, family)
+            assert err.value.defect == defect
+            assert str(err.value) == "not a topology: " + " ".join(map(str, defect))
+    assert named >= 100
+
+
 @pytest.mark.parametrize("bad", [2**70, -1, 8])
 def test_topology_defect_rejects_out_of_range_masks(bad):
     with pytest.raises(MaskOutOfRange):
@@ -401,6 +445,53 @@ def test_complete_matches_pair_rule_fixpoint():
             assert brute_pairwise(c.table, n) == []
 
 
+# Kernel inputs: ties, signed zeros, and values drawn from [0, 1) (None).
+KERNEL_PALETTES = ((0.0, 0.25, 0.5, 1.0), (-0.0, 0.0, 0.5, 1.0), None)
+
+
+def _kernel_values(rng, count, palette):
+    if palette is None:
+        return [rng.unit() for _ in range(count)]
+    return [palette[rng.below(len(palette))] for _ in range(count)]
+
+
+@pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 16], ids=["default", "16"])
+def test_separation_and_recon_match_brute_force(monkeypatch, fold_cells):
+    # At 16 cells per fold block, every n >= 4 folds its points in several
+    # blocks; at the default, every n here folds them in one.
+    monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
+    rng = rng_for(1111)
+    for n in range(11):
+        for palette in KERNEL_PALETTES:
+            for _ in range(4 if n < 9 else 1):
+                table = _kernel_values(rng, 1 << n, palette)
+                sep = ptop.core._separation(np.array(table), n)
+                expected = brute_separation(table, n)
+                for x in range(n):
+                    assert [sep[x, y] for y in range(n) if y != x] == [
+                        expected[x][y] for y in range(n) if y != x
+                    ]
+                assert ptop.core._recon(sep, n).tolist() == brute_recon(expected, n)
+                matrix = [_kernel_values(rng, n, palette) for _ in range(n)]
+                assert ptop.core._recon(np.array(matrix), n).tolist() == brute_recon(matrix, n)
+
+
+def test_verify_reads_signed_zeros_like_brute_force():
+    # verify_pairwise keeps -0.0 entries, so its separation matrix and
+    # reconstruction see them.  A valid space with some zeros written as
+    # -0.0 stays valid, and with one entry changed its reports are those of
+    # the plain loops.
+    rng = rng_for(1313)
+    for n in range(11):
+        for _ in range(6 if n < 7 else 1):
+            sep = [[(0.0, 0.0, 0.3, 0.6, 1.0)[rng.below(5)] for _ in range(n)] for _ in range(n)]
+            table = [-0.0 if v == 0.0 and rng.below(2) else v for v in brute_recon(sep, n)]
+            assert verify_pairwise(WeightTable(n, tuple(table))) == []
+            assert brute_pairwise(table, n) == []
+            table[rng.below(1 << n)] = (-0.0, 0.3, 0.6)[rng.below(3)]
+            _check_reports_against_brute(WeightTable(n, tuple(table)))
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.5, float("inf"), float("nan")])
 def test_complete_rejects_out_of_range_values(bad):
     with pytest.raises(ProbabilityOutOfRange):
@@ -429,19 +520,24 @@ def test_complete_on_nan_returns_promptly_in_a_child():
 
 
 def test_topology_defect_on_a_union_closed_family_returns_promptly_in_a_child():
-    # {empty} with every set of at least two points is closed under unions,
-    # and its first escaping pair is an intersection; naming it must not scan
-    # every pair for a union first.  A child with a timeout turns a slow
-    # scan into a failure instead of a stalled suite.
+    # {empty} with every set of at least two points, and the powerset without
+    # the top singleton, are closed under unions, and their first escaping
+    # pairs are intersections; naming them must not scan every pair for a
+    # union first, nor scan intersection rows up to the first bad one.  A
+    # child with a timeout turns a slow scan into a failure instead of a
+    # stalled suite.
     code = (
         "from ptop import NotATopology, from_topology, topology_defect\n"
         "n = 17\n"
-        "family = [0] + [m for m in range(1 << n) if m.bit_count() >= 2]\n"
-        "print(topology_defect(n, family))\n"
-        "try:\n"
-        "    from_topology(n, family)\n"
-        "except NotATopology as err:\n"
-        "    print(err.defect, err)\n"
+        "for family in (\n"
+        "    [0] + [m for m in range(1 << n) if m.bit_count() >= 2],\n"
+        "    [m for m in range(1 << n) if m != 1 << (n - 1)],\n"
+        "):\n"
+        "    print(topology_defect(n, family))\n"
+        "    try:\n"
+        "        from_topology(n, family)\n"
+        "    except NotATopology as err:\n"
+        "        print(err.defect, err)\n"
     )
     src = str(Path(ptop.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -454,7 +550,9 @@ def test_topology_defect_on_a_union_closed_family_returns_promptly_in_a_child():
     assert (done.returncode, done.stdout) == (
         0,
         "('intersection', 3, 5)\n"
-        "('intersection', 3, 5) not a topology: intersection 3 5\n",
+        "('intersection', 3, 5) not a topology: intersection 3 5\n"
+        "('intersection', 65537, 65538)\n"
+        "('intersection', 65537, 65538) not a topology: intersection 65537 65538\n",
     )
 
 
