@@ -34,13 +34,10 @@ A family is one exactly when it equals its closure: the sets holding, with
 each point x, its minimal neighbourhood N(x), the AND of the members
 holding x (Alexandroff).  With non-members read as the full set, the AND of
 the upper half of the table is N(x) for the top point x, and ANDing the
-halves folds x away: every N(x) in one O(2^n) pass.  On the 0/1 table a
-pair of members is reported exactly when its union or intersection falls
-outside the family.  So the same pair scan names the first escaping pair
-of a family that is not a topology; both operations commute, so that pair
-has A <= B and the upper triangle suffices.  A union-closed family skips
-the scan: its minimal members give its first bad row in one O(n 2^n) fold
-(:func:`_intersection_defect`).
+halves folds x away: every N(x) in one O(2^n) pass.  A family that fails
+names its first escaping pair from per-row counts of bad partners, the
+members b with a | b (or a & b) outside the family, in O(n 2^n)
+(:func:`_bad_partners`); both operations commute, so that pair has A <= B.
 
 Probabilities are binary64 values that are only ever compared, copied,
 min-ed and max-ed, never combined arithmetically, so they survive every
@@ -245,7 +242,7 @@ _PAIR_OPS = (("union", np.bitwise_or), ("intersection", np.bitwise_and))
 
 
 def _pair_reports(t: np.ndarray, cand: np.ndarray):
-    """Yield the pair reports over ``cand`` of each (kind, ufunc) of _PAIR_OPS, in order.
+    """Yield the pair reports of :func:`verify_pairwise` over ``cand``, per _PAIR_OPS kind.
 
     ``cand`` holds ascending masks.  Each yield is one row chunk's
     (kind, a, b, required, actual) witness arrays: the pairs A <= B of
@@ -449,44 +446,27 @@ def _closure(n: int, member: np.ndarray) -> np.ndarray:
     return _hull(nbhd) == np.arange(1 << n)
 
 
-def _interior(n: int, member: np.ndarray) -> np.ndarray:
-    """U(S), the OR of the members inside S, for every S, one point at a time: O(n 2^n).
+def _bad_partners(n: int, member: np.ndarray) -> np.ndarray:
+    """For every mask a, the number of members b with a | b outside the family: O(n 2^n).
 
-    U(S) is a union of members, and U(a | b) = a | b for members a and b;
-    so the family is closed under unions exactly when every U(S) is a member.
+    Three int64 folds, one point at a time: z(S) counts the members inside S;
+    c, the superset Moebius transform of the non-member table, has superset
+    sums 1 off the family and 0 on it; and r sums z * c over supersets.  So
+    r(a) is the sum over members b of the superset sums of c at a | b,
+    which is the count.  |z * c| <= 2^n and every partial sum is at most
+    4^n, so the arithmetic is exact.
     """
-    union = np.where(member, np.arange(1 << n), 0)
+    z = member.astype(np.int64)
+    c = (~member).astype(np.int64)
     for x in range(n):
-        halves = union.reshape(-1, 2, 1 << x)
-        halves[:, 1] |= halves[:, 0]
-    return union
-
-
-def _intersection_defect(n: int, member: np.ndarray, interior: np.ndarray) -> tuple[int, int]:
-    """The first pair of members whose intersection escapes a union-closed family.
-
-    ``interior`` is the family's :func:`_interior`, and the family holds the
-    empty and full sets but is no topology.  A member a meets some member b
-    outside the family exactly when a point x of a lies in a minimal member
-    holding x that is not inside a.  (Given such a b, the union of the
-    members inside a & b is a member, so it misses some x in a & b; a
-    minimal member holding x inside b is then not inside a.  Given such a
-    minimal member m, a & m holds x and lies strictly inside m, so it is no
-    member.)  So with W(x) the OR of the minimal members holding x, the bad
-    rows are the members a with hull(W)[a] != a.  No earlier row holds a bad
-    pair, so the first bad row's partner is its first member b >= a with
-    a & b outside.  O(n 2^n) in all.
-    """
-    masks = np.arange(1 << n)
-    inside = np.zeros(1 << n, dtype=np.int64)  # the OR of the members strictly inside S
+        zh, ch = z.reshape(-1, 2, 1 << x), c.reshape(-1, 2, 1 << x)
+        zh[:, 1] += zh[:, 0]
+        ch[:, 0] -= ch[:, 1]
+    r = z * c
     for x in range(n):
-        inside.reshape(-1, 2, 1 << x)[:, 1] |= interior.reshape(-1, 2, 1 << x)[:, 0]
-    # A member m is minimal among those holding x exactly when x is in m but not inside[m].
-    own = np.where(member, masks & ~inside, 0)
-    reach = [np.bitwise_or.reduce(masks[(own >> x & 1).astype(bool)]) for x in range(n)]
-    a = int(np.argmax(member & (_hull(reach) != masks)))
-    later = np.nonzero(member[a:])[0] + a
-    return a, int(later[np.argmin(member[a & later])])
+        rh = r.reshape(-1, 2, 1 << x)
+        rh[:, 0] += rh[:, 1]
+    return r
 
 
 def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
@@ -497,14 +477,15 @@ def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
         return ("missing-full",)
     if np.array_equal(member, _closure(n, member)):
         return None
-    interior = _interior(n, member)
-    if member[interior].all():  # closed under unions, so not under intersections
-        return ("intersection", *_intersection_defect(n, member, interior))
-    # The pair scan of its 0/1 table names the first escaping pair (see the
-    # module docstring).
-    for kind, a, b, _, _ in _pair_reports(member, np.nonzero(member)[0]):
-        if a.size:
-            return (kind, int(a[0]), int(b[0]))
+    # Reversing the table complements every mask, which swaps | and &.
+    for (kind, op), step in zip(_PAIR_OPS, (1, -1)):
+        bad = member & (_bad_partners(n, member[::step])[::step] > 0)
+        if bad.any():
+            # A bad partner b < a would make b an earlier bad row, so the
+            # first bad row's partners all lie above it.
+            a = int(np.argmax(bad))
+            later = np.nonzero(member[a:])[0] + a
+            return (kind, a, int(later[np.argmin(member[op(a, later)])]))
     # Closure under pairs, with the empty and full sets, makes a topology.
     raise AssertionError("a family that is not a topology has no escaping pair")
 
@@ -520,12 +501,10 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     arbitrary unions.
 
     Closedness is decided in O(2^n) by comparing the family with its
-    closure.  Only a family that fails goes on to name its defect.  When an
-    O(n 2^n) check finds it closed under unions, an O(n 2^n) fold names its
-    intersection defect.  Any other family goes through the violation
-    listing's pair scan on its 0/1 table: since both operations commute, the
-    first escaping pair has a <= b, so the scan covers only the upper
-    triangle of the O(|opens|^2) pair grid.
+    closure.  Only a family that fails goes on to name its defect, from the
+    number of bad partners of every member, counted in O(n 2^n) for unions
+    and again for intersections: the first member with a bad partner is the
+    first row of the lexicographic order that holds an escaping pair.
     """
     return _mask_defect(n, _family_mask(n, set(opens)))
 

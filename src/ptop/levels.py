@@ -49,9 +49,9 @@ class LevelChain:
         then nesting (:class:`ChainNotNested`), then the base.  Each member
         becomes one boolean table over the 2^n subsets, and closedness is
         decided on it in O(2^n) by comparing it with its closure, so a chain
-        of k members costs O(k 2^n) plus one pass over its members; the
-        pair scan of :func:`~ptop.core.topology_defect` runs only to name
-        the defect of a member that fails.
+        of k members costs O(k 2^n) plus one pass over its members; only a
+        member that fails has its defect named, by the O(n 2^n) count of
+        :func:`~ptop.core.topology_defect`.
         """
         self._member_tables()
 

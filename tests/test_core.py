@@ -318,6 +318,31 @@ def test_topology_defect_matches_brute_on_random_families():
     assert {"union", "intersection"} <= kinds
 
 
+def test_bad_partners_match_a_double_loop():
+    # The per-row counts that name defects, on the table and on its reverse
+    # (the complemented family, whose union counts are the intersection
+    # counts), against a plain count over every (a, b).
+    rng = rng_for(1616)
+    tables = [
+        [fam >> m & 1 == 1 for m in range(1 << n)]
+        for n in range(4)
+        for fam in range(1 << (1 << n))
+    ]
+    for n in range(7):
+        for _ in range(30):
+            tables.append([rng.below(3) > 0 for _ in range(1 << n)])
+    for table in tables:
+        n = len(table).bit_length() - 1
+        member = np.array(table)
+        for step in (1, -1):
+            flipped = member[::step]
+            expected = [
+                sum(flipped[b] and not flipped[a | b] for b in range(1 << n))
+                for a in range(1 << n)
+            ]
+            assert ptop.core._bad_partners(n, flipped).tolist() == expected
+
+
 def _union_closure(n, seeds):
     """Every union of ``seeds``, with the empty and full sets, by plain fixpoint."""
     family = {0, (1 << n) - 1, *seeds}
@@ -333,9 +358,11 @@ def _union_closure(n, seeds):
 
 
 def test_union_closed_families_name_the_same_defect_as_brute_force():
-    # A family closed under unions names its intersection defect by a fold
-    # over its minimal members, not by the pair scan; the defect and the
-    # NotATopology message must be those of the plain loops.
+    # A family closed under unions has no bad union row, so its defect comes
+    # from the intersection counts; the complement of each such family is
+    # closed under intersections, so its defect comes from the union counts.
+    # Either defect and its NotATopology message must be those of the plain
+    # loops.
     rng = rng_for(1414)
     named = 0
     for n in range(8):
@@ -346,18 +373,23 @@ def test_union_closed_families_name_the_same_defect_as_brute_force():
         if n >= 2:
             families.append(set(range(1 << n)) - {1 << (n - 1)})
             families.append({0} | {m for m in range(1 << n) if m.bit_count() >= 2})
-        for family in families:
-            defect = brute_topology_defect(n, family)
-            assert topology_defect(n, family) == defect
-            if defect is None:
-                continue
-            assert defect[0] == "intersection"
-            named += 1
-            with pytest.raises(NotATopology) as err:
-                from_topology(n, family)
-            assert err.value.defect == defect
-            assert str(err.value) == "not a topology: " + " ".join(map(str, defect))
-    assert named >= 100
+        full = (1 << n) - 1
+        for closed in families:
+            for kind, family in (
+                ("intersection", closed),
+                ("union", {full ^ m for m in closed}),
+            ):
+                defect = brute_topology_defect(n, family)
+                assert topology_defect(n, family) == defect
+                if defect is None:
+                    continue
+                assert defect[0] == kind
+                named += 1
+                with pytest.raises(NotATopology) as err:
+                    from_topology(n, family)
+                assert err.value.defect == defect
+                assert str(err.value) == "not a topology: " + " ".join(map(str, defect))
+    assert named >= 200
 
 
 @pytest.mark.parametrize("bad", [2**70, -1, 8])
@@ -519,12 +551,13 @@ def test_complete_on_nan_returns_promptly_in_a_child():
     assert (done.returncode, done.stdout) == (0, "raised\n")
 
 
-def test_topology_defect_on_a_union_closed_family_returns_promptly_in_a_child():
+def test_topology_defect_on_large_families_returns_promptly_in_a_child():
     # {empty} with every set of at least two points, and the powerset without
-    # the top singleton, are closed under unions, and their first escaping
-    # pairs are intersections; naming them must not scan every pair for a
-    # union first, nor scan intersection rows up to the first bad one.  A
-    # child with a timeout turns a slow scan into a failure instead of a
+    # the top singleton, are closed under unions; the powerset without the
+    # top pair is closed under neither operation; the powerset without the
+    # complement of the top singleton is closed under intersections.  Naming
+    # their defects must not scan pairs row by row up to the first bad row.
+    # A child with a timeout turns a slow scan into a failure instead of a
     # stalled suite.
     code = (
         "from ptop import NotATopology, from_topology, topology_defect\n"
@@ -532,6 +565,8 @@ def test_topology_defect_on_a_union_closed_family_returns_promptly_in_a_child():
         "for family in (\n"
         "    [0] + [m for m in range(1 << n) if m.bit_count() >= 2],\n"
         "    [m for m in range(1 << n) if m != 1 << (n - 1)],\n"
+        "    [m for m in range(1 << n) if m != 3 << (n - 2)],\n"
+        "    [m for m in range(1 << n) if m != (1 << (n - 1)) - 1],\n"
         "):\n"
         "    print(topology_defect(n, family))\n"
         "    try:\n"
@@ -552,7 +587,11 @@ def test_topology_defect_on_a_union_closed_family_returns_promptly_in_a_child():
         "('intersection', 3, 5)\n"
         "('intersection', 3, 5) not a topology: intersection 3 5\n"
         "('intersection', 65537, 65538)\n"
-        "('intersection', 65537, 65538) not a topology: intersection 65537 65538\n",
+        "('intersection', 65537, 65538) not a topology: intersection 65537 65538\n"
+        "('union', 32768, 65536)\n"
+        "('union', 32768, 65536) not a topology: union 32768 65536\n"
+        "('union', 1, 65534)\n"
+        "('union', 1, 65534) not a topology: union 1 65534\n",
     )
 
 
@@ -608,9 +647,11 @@ def test_verify_lists_lowered_entry_violations_across_chunks():
 
 
 def test_pair_scans_match_brute_force_across_small_chunks(monkeypatch):
-    # With 64 cells per chunk, the violation listing and defect naming both run
-    # in many row chunks at n <= 6; at n = 7 the listing also has more
-    # candidates than a chunk has cells.
+    # With 64 cells per chunk, the violation listing runs in many row chunks
+    # at n <= 6; at n = 7 it also has more candidates than a chunk has cells.
+    # Defect naming runs in no chunks; the families below check its first
+    # escaping pairs against the plain loops, some in rows past the first
+    # that 64 cells would hold.
     monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", 64)
     rng = rng_for(1212)
     most = 0
