@@ -26,8 +26,10 @@ Listing the violations of an invalid table needs only the candidate
 masks C, those valued strictly above m, the least non-NaN value: a pair
 violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
 minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
-The listing scans the pairs of C in O(|C|^2), on top of the O(n 2^n)
-decision.
+The listing scans the upper triangle of C x C in O(|C|^2), on top of the
+O(n 2^n) decision, and then costs about as much as the reports it builds:
+each one is written straight into a fresh instance (:func:`_reports`),
+with the cycle collector paused while the list grows.
 
 A classical topology is the 0/1 table of its family (:func:`from_topology`).
 A family is one exactly when it equals its closure: the sets holding, with
@@ -46,8 +48,9 @@ operation bit-exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+import gc
 from typing import Iterable, Literal
 
 import numpy as np
@@ -116,8 +119,11 @@ Kind = Literal["range", "boundary", "union", "intersection"]
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """One axiom violation found by the pair scan.
+    """One axiom violation found by :func:`verify_pairwise`.
 
+    Range and boundary reports are constructed as usual; union and
+    intersection reports, found by the pair scan, are built in bulk by
+    :func:`_reports` and cannot be told apart from constructed ones.
     ``witness_b`` is None for range and boundary reports.  ``required``
     exceeds ``actual`` in every report (for an out-of-range value above 1
     the pair is ``(value, 1.0)``; for a NaN it is ``(1.0, nan)``).
@@ -244,22 +250,64 @@ _PAIR_OPS = (("union", np.bitwise_or), ("intersection", np.bitwise_and))
 def _pair_reports(t: np.ndarray, cand: np.ndarray):
     """Yield the pair reports of :func:`verify_pairwise` over ``cand``, per _PAIR_OPS kind.
 
-    ``cand`` holds ascending masks.  Each yield is one row chunk's
+    ``cand`` holds ascending masks.  Each yield is one row block's
     (kind, a, b, required, actual) witness arrays: the pairs A <= B of
     ``cand`` with t[A op B] < min(t[A], t[B]), in lexicographic order.  A
-    chunk takes the columns from its first row on, so it spans at most
-    _CHUNK_CELLS cells, or one row.
+    block takes the columns from its own first row on, and holds at most
+    1/8 as many rows as columns, so at most about 1/16 of its cells have
+    B < A; it spans at most _CHUNK_CELLS cells, or one row.  At least 128
+    rows keep a small candidate set in one block.
     """
-    rows = max(1, _CHUNK_CELLS // max(1, cand.size))
     for kind, op in _PAIR_OPS:
-        for start in range(0, cand.size, rows):
+        start = 0
+        while start < cand.size:
+            cols = cand.size - start
+            rows = max(1, min(max(128, cols >> 3), _CHUNK_CELLS // cols))
             a = cand[start : start + rows, None]
             b = cand[None, start:]  # pairs with B < A are never reported
             req = np.minimum(t[a], t[b])
             bad = (t[op(a, b)] < req) & (b >= a)
-            r, c = np.divmod(np.flatnonzero(bad), bad.shape[1])  # 2-D nonzero is slower
+            r, c = np.divmod(np.flatnonzero(bad), cols)  # 2-D nonzero is slower
             wa, wb = a[r, 0], b[0, c]
             yield kind, wa, wb, req[r, c], t[op(wa, wb)]
+            start += rows
+
+
+def _reports(kind, witness_a, witness_b, required, actual) -> list[ViolationReport]:
+    """The ``kind`` reports of parallel field lists, in order.
+
+    Each report is made by ``object.__new__`` with its five fields written
+    straight into the instance dict, in field order; the frozen
+    ``__init__`` and its five ``object.__setattr__`` calls would cost more
+    than the rest of the listing.  Equality, hashing, repr, pickling and
+    ``vars()`` match a constructed report.
+    """
+    out = [object.__new__(ViolationReport) for _ in witness_a]
+    for r, a, b, req, act in zip(out, witness_a, witness_b, required, actual):
+        d = r.__dict__
+        d["kind"] = kind
+        d["witness_a"] = a
+        d["witness_b"] = b
+        d["required"] = req
+        d["actual"] = act
+    return out
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cycle collector, and re-enable it on exit only if it was on.
+
+    Reports hold only atomic values, so a growing list of them forms no
+    cycles, yet every few hundred new reports would set off a collection
+    pass over the young ones, and now and then over the whole list.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
@@ -270,8 +318,11 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     reconstruction from its separation matrix.  Only an invalid table goes
     on to list its union and intersection violations, scanning the pairs of
     its candidate masks C, those valued strictly above the table's least
-    non-NaN value, in O(|C|^2).  :class:`CapExceeded` is raised when an
-    invalid table has more than 2^PAIRWISE_CAP candidates.
+    non-NaN value, in O(|C|^2), upper triangle only.  Each pair report then
+    costs about as much as the report object itself, built without its
+    constructor; the cycle collector is paused while the list grows, and
+    its state is restored on return or raise.  :class:`CapExceeded` is
+    raised when an invalid table has more than 2^PAIRWISE_CAP candidates.
 
     Report order is deterministic: range (ascending mask), boundary
     (empty then full), union pairs in lexicographic (A, B) order with
@@ -305,8 +356,9 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
             f"listing the violations of {cand.size} candidate masks is capped at "
             f"2^{PAIRWISE_CAP}"
         )
-    for kind, *arrays in _pair_reports(t, cand):
-        reports.extend(map(ViolationReport, repeat(kind), *(x.tolist() for x in arrays)))
+    with _gc_paused():
+        for kind, *arrays in _pair_reports(t, cand):
+            reports += _reports(kind, *(x.tolist() for x in arrays))
     return reports
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 from itertools import product
@@ -18,6 +21,7 @@ from ptop import (
     NotATopology,
     ProbabilityOutOfRange,
     PSpace,
+    ViolationReport,
     WeightTable,
     as_pspace,
     build,
@@ -672,3 +676,59 @@ def test_pair_scans_match_brute_force_across_small_chunks(monkeypatch):
                 rows = max(1, 64 // len(family))
                 crossed += sorted(family).index(defect[1]) >= rows
     assert crossed
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 64, 8192])
+def test_pair_scan_bands_match_brute_force(monkeypatch, chunk_cells):
+    # A dense n = 8 table has 255 candidates, more than the 128-row floor of
+    # a band, so the scan runs in several bands, each starting at its own
+    # row: two at the default size, one row each at 64 cells, and bands that
+    # grow as their columns shrink at 8192.  Bands of 1/8 as many rows as
+    # columns need over 1,024 candidates; the lowered-entry test at n = 12
+    # runs in those.
+    if chunk_cells is not None:
+        monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", chunk_cells)
+    rng = rng_for(1313)
+    for _ in range(3):
+        w = random_weight_table(8, rng, (0.1, 0.4, 0.7, 1.0))
+        assert sum(v > 0.1 for v in w.table) > 128
+        _check_reports_against_brute(w)
+
+
+def test_bulk_built_reports_cannot_be_told_apart():
+    rng = rng_for(1414)
+    w = random_weight_table(6, rng, (0.0, 0.5, 1.0))
+    reports = verify_pairwise(w)
+    assert {r.kind for r in reports} >= {"union", "intersection"}
+    for r in reports:
+        c = ViolationReport(*dataclasses.astuple(r))
+        assert type(r) is ViolationReport
+        assert r == c and hash(r) == hash(c) and repr(r) == repr(c)
+        assert list(vars(r).items()) == list(vars(c).items())
+        back = pickle.loads(pickle.dumps(r))
+        assert back == c and list(vars(back)) == list(vars(c))
+        assert dataclasses.replace(r, actual=-1.0) == dataclasses.replace(c, actual=-1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.actual = -1.0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_verify_restores_the_callers_gc_state(monkeypatch, enabled):
+    w = random_weight_table(6, rng_for(1515), (0.0, 0.5, 1.0))
+    scan = ptop.core._pair_reports
+
+    def failing_scan(t, cand):
+        yield next(scan(t, cand))
+        raise RuntimeError("listing failed")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert verify_pairwise(w)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(ptop.core, "_pair_reports", failing_scan)
+        with pytest.raises(RuntimeError, match="listing failed"):
+            verify_pairwise(w)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
