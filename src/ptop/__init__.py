@@ -41,6 +41,7 @@ from .errors import (
     ChainNotNested,
     DimensionMismatch,
     DuplicateMask,
+    InvalidArgument,
     MaskOutOfRange,
     MissingBase,
     NotACover,

@@ -32,6 +32,7 @@ from .fileio import (
 from .generate import random_pspace
 from .levels import decompose
 from .maps import continuity_witness, subspace
+from .masks import check_probability
 
 
 def _read(path: str) -> str:
@@ -46,24 +47,22 @@ def _load_space(path: str):
     return as_pspace(parse_pspace(_read(path)))
 
 
+def _values(v: ViolationReport | FamilyViolation) -> str:
+    return f"required {format_probability(v.required)} actual {format_probability(v.actual)}"
+
+
 def _pair_line(r: ViolationReport) -> str:
     head = f"{r.kind} {r.witness_a}"
     if r.witness_b is not None:
         head += f" {r.witness_b}"
-    return f"{head} required {format_probability(r.required)} actual {format_probability(r.actual)}"
+    return f"{head} {_values(r)}"
 
 
 def _family_line(v: FamilyViolation) -> str:
     if v.kind == "range":
-        return (
-            f"range {v.members[0]} required {format_probability(v.required)} "
-            f"actual {format_probability(v.actual)}"
-        )
+        return f"range {v.members[0]} {_values(v)}"
     members = ",".join(str(m) for m in v.members) or "-"
-    return (
-        f"{v.kind} family {members} required {format_probability(v.required)} "
-        f"actual {format_probability(v.actual)}"
-    )
+    return f"{v.kind} family {members} {_values(v)}"
 
 
 def _parse_threshold(text: str) -> float:
@@ -71,8 +70,7 @@ def _parse_threshold(text: str) -> float:
         q = float(text)
     except ValueError:
         raise ProbabilityOutOfRange(f"bad threshold {text!r}") from None
-    if not 0.0 <= q <= 1.0:
-        raise ProbabilityOutOfRange(f"threshold {q!r} not in [0, 1]")
+    check_probability(q, "threshold")
     return q
 
 
@@ -96,11 +94,7 @@ def cmd_complete(args) -> int:
 
 def cmd_subspace(args) -> int:
     p = _load_space(args.file)
-    try:
-        y = parse_mask_token(args.subset)
-    except ValueError as exc:
-        raise PtopError(str(exc)) from None
-    _write(args.output, serialize_pspace(subspace(p, y)))
+    _write(args.output, serialize_pspace(subspace(p, parse_mask_token(args.subset))))
     return 0
 
 
@@ -142,11 +136,7 @@ def cmd_cover(args) -> int:
     p = _load_space(args.file)
     q = _parse_threshold(args.q)
     tokens = [t for t in args.members.split(",") if t]
-    try:
-        members = tuple(parse_mask_token(t) for t in tokens)
-    except ValueError as exc:
-        raise PtopError(str(exc)) from None
-    cover = Cover(p.n, members)
+    cover = Cover(p.n, tuple(parse_mask_token(t) for t in tokens))
     defect = qcover_witness(p, cover, q)
     if defect is None:
         print("ok")

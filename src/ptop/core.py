@@ -58,11 +58,12 @@ import numpy as np
 from .errors import (
     CapExceeded,
     DuplicateMask,
+    InvalidArgument,
     NotAPSpace,
     NotATopology,
     ProbabilityOutOfRange,
 )
-from .masks import check_ground_size, check_mask
+from .masks import bits, check_ground_size, check_mask
 
 # Documented caps: listing the violations of an invalid table with C candidate
 # masks is O(|C|^2), capped at |C| <= 2^PAIRWISE_CAP (the pair cells of a full
@@ -95,7 +96,7 @@ class WeightTable:
         check_ground_size(self.n)
         object.__setattr__(self, "table", tuple(map(float, self.table)))
         if len(self.table) != 1 << self.n:
-            raise ValueError(
+            raise InvalidArgument(
                 f"table for ground size {self.n} needs {1 << self.n} entries, "
                 f"got {len(self.table)}"
             )
@@ -371,41 +372,33 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
     when :func:`verify_pairwise` is empty, which makes the two scans
     oracles for each other.  Report order: range (ascending mask), union
     families (ascending family bitmask), intersection families likewise.
+
+    The unions, intersections and minima of all 2^(2^n) families are three
+    :func:`_subset_fold` passes with the 2^n cells as points.  On a tie the
+    lowest member's value is reported (-0.0 or 0.0): the fold adds the
+    highest member last, and np.minimum returns its second argument, the
+    minimum so far, on a tie.
     """
     if w.n > EXHAUSTIVE_CAP:
         raise CapExceeded(f"family scan capped at n = {EXHAUSTIVE_CAP}, got {w.n}")
     t = np.asarray(w.table, dtype=np.float64)
-    size = t.size
-    fam_count = 1 << size
     reports: list[FamilyViolation] = []
 
     for mask in _out_of_range(t):
         required, actual = _range_pair(float(t[mask]))
         reports.append(FamilyViolation("range", (int(mask),), required, actual))
 
-    # Fold each family from the family without its lowest member: processing
-    # lowest members in decreasing order makes every predecessor ready.
-    unions = np.zeros(fam_count, dtype=np.int64)
-    inters = np.full(fam_count, size - 1, dtype=np.int64)
-    mins = np.ones(fam_count, dtype=np.float64)
-    for member in range(size - 1, -1, -1):
-        base = 1 << member
-        prev = np.arange(0, fam_count, base << 1, dtype=np.int64)
-        fams = prev + base
-        unions[fams] = unions[prev] | member
-        inters[fams] = inters[prev] & member
-        mins[fams] = np.minimum(mins[prev], t[member])
-
-    def _members(fam: int) -> tuple[int, ...]:
-        return tuple(m for m in range(size) if fam >> m & 1)
-
+    cells = np.arange(t.size)
+    unions = _hull(cells)
+    inters = _subset_fold(cells, np.bitwise_and, t.size - 1)
+    mins = _subset_fold(t, lambda low, v, out: np.minimum(v, low, out=out), 1.0)
     for kind, targets in (("union", unions), ("intersection", inters)):
         bad = t[targets] < mins
         for fam in np.nonzero(bad)[0]:
             reports.append(
                 FamilyViolation(
                     kind,
-                    _members(int(fam)),
+                    tuple(bits(int(fam))),
                     float(mins[fam]),
                     float(t[targets[fam]]),
                 )
@@ -529,17 +522,18 @@ def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
         return ("missing-full",)
     if np.array_equal(member, _closure(n, member)):
         return None
+    # The family holds the empty and full sets but is no topology, so some
+    # pair escapes it: if no union does, the intersection count finds one.
     # Reversing the table complements every mask, which swaps | and &.
     for (kind, op), step in zip(_PAIR_OPS, (1, -1)):
         bad = member & (_bad_partners(n, member[::step])[::step] > 0)
         if bad.any():
-            # A bad partner b < a would make b an earlier bad row, so the
-            # first bad row's partners all lie above it.
-            a = int(np.argmax(bad))
-            later = np.nonzero(member[a:])[0] + a
-            return (kind, a, int(later[np.argmin(member[op(a, later)])]))
-    # Closure under pairs, with the empty and full sets, makes a topology.
-    raise AssertionError("a family that is not a topology has no escaping pair")
+            break
+    # A bad partner b < a would make b an earlier bad row, so the first bad
+    # row's partners all lie above it.
+    a = int(np.argmax(bad))
+    later = np.nonzero(member[a:])[0] + a
+    return (kind, a, int(later[np.argmin(member[op(a, later)])]))
 
 
 def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:

@@ -7,6 +7,10 @@ class PtopError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(PtopError, ValueError):
+    """A malformed or inconsistent argument; ``except ValueError`` still catches it."""
+
+
 class MaskOutOfRange(PtopError):
     """A subset mask does not fit the ground size it is used with."""
 

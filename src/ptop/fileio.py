@@ -28,7 +28,7 @@ trailing ``.0`` trimmed).
 from __future__ import annotations
 
 from .core import WeightTable, build
-from .errors import ParseError, UnsupportedVersion
+from .errors import InvalidArgument, ParseError, UnsupportedVersion
 from .maps import PointMap
 
 PTOP_VERSION = "1"
@@ -51,16 +51,16 @@ def parse_mask_token(token: str) -> int:
             return int(t[2:], 16)
         return int(t, 10)
     except ValueError:
-        raise ValueError(f"bad mask literal {token!r}") from None
+        raise InvalidArgument(f"bad mask literal {token!r}") from None
 
 
 def _parse_probability_token(token: str) -> float:
     if "_" in token:
-        raise ValueError(f"bad probability literal {token!r}")
+        raise InvalidArgument(f"bad probability literal {token!r}")
     try:
         return float(token)
     except ValueError:
-        raise ValueError(f"bad probability literal {token!r}") from None
+        raise InvalidArgument(f"bad probability literal {token!r}") from None
 
 
 def _content_lines(text: str):
@@ -70,11 +70,17 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
-def _check_header(tokens: list[str], lineno: int, name: str, version: str) -> None:
+def _header(lines, name: str, version: str) -> int:
+    """Read the document's first line as the header '<name> <version>'; return its line."""
+    try:
+        lineno, tokens = next(lines)
+    except StopIteration:
+        raise ParseError(f"empty document, expected '{name} {version}' header", 1) from None
     if len(tokens) != 2 or tokens[0] != name:
         raise ParseError(f"expected header '{name} {version}'", lineno)
     if tokens[1] != version:
         raise UnsupportedVersion(f"unsupported {name} version {tokens[1]!r}", lineno)
+    return lineno
 
 
 def _size_line(lines, lineno: int, form: str) -> tuple[int, int]:
@@ -92,13 +98,7 @@ def _size_line(lines, lineno: int, form: str) -> tuple[int, int]:
 def parse_pspace(text: str) -> WeightTable:
     """Parse a PTOP document; entry validation follows :func:`ptop.core.build`."""
     lines = _content_lines(text)
-    lineno = 0
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty document, expected 'ptop 1' header", 1) from None
-    _check_header(tokens, lineno, "ptop", PTOP_VERSION)
-    lineno, n = _size_line(lines, lineno, "n <ground size>")
+    lineno, n = _size_line(lines, _header(lines, "ptop", PTOP_VERSION), "n <ground size>")
     entries = []
     for lineno, tokens in lines:
         if len(tokens) != 2:
@@ -106,7 +106,7 @@ def parse_pspace(text: str) -> WeightTable:
         try:
             mask = parse_mask_token(tokens[0])
             value = _parse_probability_token(tokens[1])
-        except ValueError as exc:
+        except InvalidArgument as exc:
             raise ParseError(str(exc), lineno) from None
         entries.append((mask, value))
     return build(n, entries)
@@ -126,13 +126,7 @@ def serialize_pspace(p: WeightTable) -> str:
 def parse_pmap(text: str) -> PointMap:
     """Parse a PMAP document into a total point map."""
     lines = _content_lines(text)
-    lineno = 0
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty document, expected 'pmap 1' header", 1) from None
-    _check_header(tokens, lineno, "pmap", PMAP_VERSION)
-    lineno, dom = _size_line(lines, lineno, "dom <size>")
+    lineno, dom = _size_line(lines, _header(lines, "pmap", PMAP_VERSION), "dom <size>")
     lineno, cod = _size_line(lines, lineno, "cod <size>")
     image: dict[int, int] = {}
     for lineno, tokens in lines:

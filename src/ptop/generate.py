@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PSpace, _closure, _family_mask
+from .errors import InvalidArgument
 from .levels import LevelChain, reconstruct
 from .masks import check_ground_size
 
@@ -86,7 +87,7 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     """
     check_ground_size(n)
     if k < 1:
-        raise ValueError(f"level count must be at least 1, got {k}")
+        raise InvalidArgument(f"level count must be at least 1, got {k}")
     rng = SplitMix64(seed)
     chain_topologies: list[frozenset[int]] = []
     acc: frozenset[int] | None = None

@@ -23,8 +23,8 @@ import numpy as np
 from .core import PSpace, _topology_table, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
-from .errors import ChainNotNested, MissingBase, ProbabilityOutOfRange
-from .masks import check_ground_size, check_mask
+from .errors import ChainNotNested, InvalidArgument, MissingBase, ProbabilityOutOfRange
+from .masks import check_ground_size, check_mask, check_probability
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,15 @@ class LevelChain:
         """Validate the chain and return each member as a boolean table."""
         check_ground_size(self.n)
         if not self.levels:
-            raise ValueError("a level chain needs at least one level")
+            raise InvalidArgument("a level chain needs at least one level")
         if len(self.levels) != len(self.topologies):
-            raise ValueError("levels and topologies differ in length")
-        last = None
-        for q in self.levels:
-            if not 0.0 <= q <= 1.0:
-                raise ProbabilityOutOfRange(f"level {q!r} not in [0, 1]")
-            if last is not None and not q > last:
-                raise ValueError("levels must be strictly increasing")
-            last = q
+            raise InvalidArgument("levels and topologies differ in length")
+        for i, q in enumerate(self.levels):
+            check_probability(q, "level")
+            if i and not q > self.levels[i - 1]:
+                raise InvalidArgument("levels must be strictly increasing")
         if self.levels[-1] != 1.0:
-            raise ValueError("the last level must be 1")
+            raise InvalidArgument("the last level must be 1")
         tables = [
             _topology_table(self.n, topo, "chain member is not a topology")
             for topo in self.topologies
@@ -95,8 +92,7 @@ def _cuts(p: PSpace, levels) -> tuple[frozenset[int], ...]:
     table = np.asarray(p.table, dtype=np.float64)
     cuts = []
     for q in levels:
-        if not 0.0 <= q <= 1.0:
-            raise ProbabilityOutOfRange(f"threshold {q!r} not in [0, 1]")
+        check_probability(q, "threshold")
         cuts.append(frozenset(np.nonzero(table >= q)[0].tolist()))
     return tuple(cuts)
 
@@ -104,8 +100,7 @@ def _cuts(p: PSpace, levels) -> tuple[frozenset[int], ...]:
 def q_open(p: PSpace, a: int, q: float) -> bool:
     """The at-most convention: subset ``a`` is q-open when its value is <= q."""
     check_mask(a, p.n)
-    if not 0.0 <= q <= 1.0:
-        raise ProbabilityOutOfRange(f"threshold {q!r} not in [0, 1]")
+    check_probability(q, "threshold")
     return prob(p, a) <= q
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .core import PSpace, _hull
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
-from .errors import DimensionMismatch, NotASubset, PointOutOfRange
+from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
 from .masks import bits, check_ground_size, check_mask, full_mask, submasks
 
 
@@ -34,7 +34,7 @@ class PointMap:
         check_ground_size(self.codomain_n)
         object.__setattr__(self, "image", tuple(int(y) for y in self.image))
         if len(self.image) != self.domain_n:
-            raise ValueError(
+            raise InvalidArgument(
                 f"map on {self.domain_n} points needs {self.domain_n} images, "
                 f"got {len(self.image)}"
             )

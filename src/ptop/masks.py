@@ -2,6 +2,7 @@
 
 Bit i of a mask is set exactly when point i belongs to the subset, which
 fixes a canonical point ordering: file formats and examples are bit-exact.
+The shared argument checks live here too: ground sizes, masks, probabilities.
 All functions here are pure and safe for unrestricted concurrent use.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterator
 
-from .errors import CapExceeded, MaskOutOfRange, NotASubset, PtopError
+from .errors import CapExceeded, MaskOutOfRange, NotASubset, ProbabilityOutOfRange, PtopError
 
 # Absolute ground-size cap. Tables above 2^20 entries stop being
 # desk-scale even for the O(n 2^n) decision and completion; individual
@@ -41,6 +42,12 @@ def check_ground_size(n: int) -> None:
 def check_mask(mask: int, n: int) -> None:
     if not 0 <= mask < (1 << n):
         raise MaskOutOfRange(f"mask {mask} out of range for ground size {n}")
+
+
+def check_probability(q: float, what: str) -> None:
+    """Raise :class:`ProbabilityOutOfRange`, naming ``q`` as ``what``, unless 0 <= q <= 1."""
+    if not 0.0 <= q <= 1.0:
+        raise ProbabilityOutOfRange(f"{what} {q!r} not in [0, 1]")
 
 
 def full_mask(n: int) -> int:
@@ -84,27 +91,11 @@ def compress(a: int, y: int) -> int:
     """
     if a & ~y:
         raise NotASubset(f"mask {a} is not contained in {y}")
-    out = 0
-    k = 0
-    while y:
-        low = y & -y
-        if a & low:
-            out |= 1 << k
-        y ^= low
-        k += 1
-    return out
+    return sum(1 << k for k, i in enumerate(bits(y)) if a >> i & 1)
 
 
 def decompress(a: int, y: int) -> int:
     """Inverse of :func:`compress`: deposit bit k of ``a`` at the k-th bit of ``y``."""
     if a >> y.bit_count():
         raise MaskOutOfRange(f"mask {a} out of range for a subspace of size {y.bit_count()}")
-    out = 0
-    k = 0
-    while y:
-        low = y & -y
-        if a >> k & 1:
-            out |= low
-        y ^= low
-        k += 1
-    return out
+    return sum(1 << i for k, i in enumerate(bits(y)) if a >> k & 1)

@@ -171,6 +171,27 @@ def test_generate_rejects_bad_seed(files, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_generate_rejects_zero_levels(files, capsys):
+    path = files["dir"] / "g.ptop"
+    code, out, err = run(
+        capsys, "generate", "--n", "4", "--levels", "0", "--seed", "1", "-o", str(path)
+    )
+    assert (code, out, err) == (2, "", "error: level count must be at least 1, got 0\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("subspace", "{p1}", "--subset", "ten", "-o", "{dir}/s.ptop"),
+        ("cover", "{p1}", "--q", "0.5", "--members", "1,ten"),
+    ],
+)
+def test_bad_mask_literals_exit_2(files, capsys, argv):
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out, err) == (2, "", "error: bad mask literal 'ten'\n")
+
+
 def test_env_cap_override(files, capsys, monkeypatch):
     monkeypatch.setenv("PTOP_MAX_N", "1")
     code, _, err = run(capsys, "validate", files["p1"])

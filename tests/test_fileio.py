@@ -105,6 +105,14 @@ def test_parse_pmap_errors():
 @pytest.mark.parametrize(
     "parse, doc, line, message",
     [
+        (parse_pspace, "", 1, "empty document, expected 'ptop 1' header"),
+        (parse_pspace, "# note\n\n", 1, "empty document, expected 'ptop 1' header"),
+        (parse_pspace, "\npmap 1\nn 1\n", 2, "expected header 'ptop 1'"),
+        (parse_pspace, "ptop 1 2\nn 1\n", 1, "expected header 'ptop 1'"),
+        (parse_pmap, "", 1, "empty document, expected 'pmap 1' header"),
+        (parse_pmap, "# note\n\n", 1, "empty document, expected 'pmap 1' header"),
+        (parse_pmap, "ptop 1\ndom 1\ncod 1\n0 0\n", 1, "expected header 'pmap 1'"),
+        (parse_pmap, "# note\npmap 1 2\n", 2, "expected header 'pmap 1'"),
         (parse_pspace, "ptop 1\n", 2, "missing 'n <ground size>' line"),
         (parse_pspace, "ptop 1\n# note\n\n", 2, "missing 'n <ground size>' line"),
         (parse_pspace, "ptop 1\nn\n", 2, "expected 'n <ground size>'"),
@@ -122,9 +130,24 @@ def test_parse_pmap_errors():
     ],
 )
 def test_size_line_errors_pin_messages(parse, doc, line, message):
+    _check_parse_error(parse, doc, ParseError, line, message)
+
+
+@pytest.mark.parametrize(
+    "parse, doc, line, message",
+    [
+        (parse_pspace, "ptop 2\nn 1\n", 1, "unsupported ptop version '2'"),
+        (parse_pmap, "\n# note\npmap 2\n", 3, "unsupported pmap version '2'"),
+    ],
+)
+def test_unsupported_versions_pin_messages(parse, doc, line, message):
+    _check_parse_error(parse, doc, UnsupportedVersion, line, message)
+
+
+def _check_parse_error(parse, doc, cls, line, message):
     with pytest.raises(ParseError) as err:
         parse(doc)
-    assert type(err.value) is ParseError
+    assert type(err.value) is cls
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
 

@@ -47,6 +47,27 @@ def test_decompress_examples():
         decompress(0b100, 0b101)
 
 
+def test_compress_and_decompress_match_a_plain_loop():
+    # Bit k of compress(a, y) is the bit of a at the k-th lowest point of y.
+    for y in range(1 << 8):
+        k = y.bit_count()
+        for a in range(1 << 8):
+            packed, slot = 0, 0
+            for i in range(8):
+                if y >> i & 1:
+                    packed |= (a >> i & 1) << slot
+                    slot += 1
+            if a & ~y:
+                with pytest.raises(NotASubset):
+                    compress(a, y)
+            else:
+                assert compress(a, y) == packed
+                assert decompress(packed, y) == a
+        for a in range(1 << k, 1 << 9):
+            with pytest.raises(MaskOutOfRange):
+                decompress(a, y)
+
+
 def test_bits_and_submasks():
     assert list(bits(0b10110)) == [1, 2, 4]
     assert sorted(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]

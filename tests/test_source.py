@@ -7,6 +7,7 @@ from pathlib import Path
 import runpy
 
 import ptop
+import ptop.errors
 
 
 def test_library_has_no_assert_statements():
@@ -15,6 +16,27 @@ def test_library_has_no_assert_statements():
     for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
+def test_library_raises_only_its_own_errors():
+    # Callers catch PtopError; a built-in exception raised by the library
+    # would escape them, and the CLI would print a traceback.  A bare
+    # re-raise is allowed.
+    own = {
+        name
+        for name, obj in vars(ptop.errors).items()
+        if isinstance(obj, type) and obj.__module__ == ptop.errors.__name__
+    }
+    offenders = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in own):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 
