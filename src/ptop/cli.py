@@ -21,8 +21,9 @@ from .core import (
     verify_pairwise,
 )
 from .covers import Cover, connectivity_threshold, disconnection_witness, min_subcover, qcover_witness
-from .errors import ProbabilityOutOfRange, PtopError
+from .errors import InvalidArgument, ProbabilityOutOfRange, PtopError
 from .fileio import (
+    _parse_probability_token,
     format_probability,
     parse_mask_token,
     parse_pmap,
@@ -67,8 +68,8 @@ def _family_line(v: FamilyViolation) -> str:
 
 def _parse_threshold(text: str) -> float:
     try:
-        q = float(text)
-    except ValueError:
+        q = _parse_probability_token(text)
+    except InvalidArgument:
         raise ProbabilityOutOfRange(f"bad threshold {text!r}") from None
     check_probability(q, "threshold")
     return q

@@ -86,8 +86,14 @@ class WeightTable:
     ``table[mask]`` is the value of the subset encoded by ``mask``.
     Instances are immutable; the in-range invariant is established by
     :func:`build` and checked by the verifiers, not by the constructor,
-    so that invalid tables remain representable and testable.
+    so that invalid tables remain representable and testable.  Numpy
+    paths read ``_array()``: a read-only float64 copy of ``table``, made
+    on first use and kept in a slot, out of ``vars()`` (benchmarks/run.py
+    digests spaces through it).  Pickling and copying rebuild from
+    ``(n, table)``, since a set slot cannot be restored.
     """
+
+    __slots__ = ("__dict__", "__weakref__", "_float64")
 
     n: int
     table: tuple[float, ...]
@@ -101,6 +107,15 @@ class WeightTable:
                 f"got {len(self.table)}"
             )
 
+    def __reduce__(self):
+        return type(self), (self.n, self.table)
+
+    def _array(self) -> np.ndarray:
+        if not hasattr(self, "_float64"):
+            object.__setattr__(self, "_float64", np.array(self.table, dtype=np.float64))
+            self._float64.flags.writeable = False
+        return self._float64
+
 
 class PSpace(WeightTable):
     """A weight table satisfying the openness axioms.
@@ -111,7 +126,7 @@ class PSpace(WeightTable):
     construction (the test suite checks reconstruction and subspaces
     against brute-force oracles).
     :func:`as_pspace` decides validity in O(n 2^n) through the
-    separation matrix.
+    separation matrix and shares the input's float64 array with its result.
     """
 
 
@@ -332,7 +347,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
-    t = np.asarray(w.table, dtype=np.float64)
+    t = w._array()
     size = t.size
     reports: list[ViolationReport] = []
 
@@ -381,7 +396,7 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
     """
     if w.n > EXHAUSTIVE_CAP:
         raise CapExceeded(f"family scan capped at n = {EXHAUSTIVE_CAP}, got {w.n}")
-    t = np.asarray(w.table, dtype=np.float64)
+    t = w._array()
     reports: list[FamilyViolation] = []
 
     for mask in _out_of_range(t):
@@ -417,13 +432,12 @@ def complete(w: WeightTable) -> PSpace:
     value outside [0, 1], NaN included.  The ground-size cap N_MAX is its
     only cap.
     """
-    t = np.array(w.table, dtype=np.float64)
+    t = w._array()
     bad = _out_of_range(t)
     if bad.size:
         mask = int(bad[0])
         raise ProbabilityOutOfRange(f"value {w.table[mask]!r} for mask {mask} not in [0, 1]")
-    t += 0.0  # normalize -0.0
-    return PSpace(w.n, tuple(_recon(_separation(t, w.n), w.n).tolist()))
+    return PSpace(w.n, tuple(_recon(_separation(t + 0.0, w.n), w.n).tolist()))
 
 
 def as_pspace(w: WeightTable) -> PSpace:
@@ -440,7 +454,9 @@ def as_pspace(w: WeightTable) -> PSpace:
             f"{len(violations)} violation(s) total",
             violation=first,
         )
-    return PSpace(w.n, w.table)
+    p = PSpace(w.n, w.table)
+    object.__setattr__(p, "_float64", w._array())
+    return p
 
 
 def _family_mask(n: int, members) -> np.ndarray:

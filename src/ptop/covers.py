@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import PSpace
 from .errors import DimensionMismatch, DuplicateMask, NotACover
-from .masks import bits, check_ground_size, check_mask, full_mask
+from .masks import _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Cover:
 
     def __post_init__(self):
         check_ground_size(self.n)
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        object.__setattr__(self, "members", tuple(_index(m, "cover member") for m in self.members))
         seen = set()
         for m in self.members:
             check_mask(m, self.n)
@@ -151,14 +151,11 @@ def disconnection_witness(p: PSpace, q: float) -> tuple[int, int] | None:
     The returned witness is the smallest qualifying mask containing point 0,
     paired with its complement.  Scans 2^(n-1) partitions.
     """
-    if p.n <= 1:
-        return None
     full = full_mask(p.n)
-    table = p.table
-    for a in range(1, full, 2):
-        if table[a] >= q and table[full ^ a] >= q:
-            return a, full ^ a
-    return None
+    t = p._array()
+    a = np.arange(1, full, 2, dtype=np.int64)
+    hits = a[(t[a] >= q) & (t[full ^ a] >= q)]
+    return (int(hits[0]), full ^ int(hits[0])) if hits.size else None
 
 
 def is_qconnected(p: PSpace, q: float) -> bool:
@@ -177,6 +174,6 @@ def connectivity_threshold(p: PSpace) -> float:
     if p.n <= 1:
         return float("-inf")
     full = full_mask(p.n)
-    t = np.asarray(p.table, dtype=np.float64)
+    t = p._array()
     a = np.arange(1, full, 2, dtype=np.int64)
     return float(np.minimum(t[a], t[full ^ a]).max())

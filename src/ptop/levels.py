@@ -84,17 +84,8 @@ class LevelChain:
 
 def level_cut(p: PSpace, q: float) -> frozenset[int]:
     """The subsets whose value is at least q; always a classical topology."""
-    return _cuts(p, (q,))[0]
-
-
-def _cuts(p: PSpace, levels) -> tuple[frozenset[int], ...]:
-    """:func:`level_cut` of ``p`` at each of ``levels``, converting the table once."""
-    table = np.asarray(p.table, dtype=np.float64)
-    cuts = []
-    for q in levels:
-        check_probability(q, "threshold")
-        cuts.append(frozenset(np.nonzero(table >= q)[0].tolist()))
-    return tuple(cuts)
+    check_probability(q, "threshold")
+    return frozenset(np.nonzero(p._array() >= q)[0].tolist())
 
 
 def q_open(p: PSpace, a: int, q: float) -> bool:
@@ -114,9 +105,8 @@ def decompose(p: PSpace) -> LevelChain:
     """
     values = sorted(set(p.table))
     levels = tuple(v for v in values if v != 0.0)
-    topologies = _cuts(p, levels)
     base = 0.0 if values and values[0] == 0.0 else None
-    return LevelChain(p.n, levels, topologies, base)
+    return LevelChain(p.n, levels, tuple(level_cut(p, q) for q in levels), base)
 
 
 def reconstruct(chain: LevelChain) -> PSpace:

@@ -18,7 +18,7 @@ from .core import PSpace, _hull
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
-from .masks import bits, check_ground_size, check_mask, full_mask, submasks
+from .masks import _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class PointMap:
     def __post_init__(self):
         check_ground_size(self.domain_n)
         check_ground_size(self.codomain_n)
-        object.__setattr__(self, "image", tuple(int(y) for y in self.image))
+        object.__setattr__(self, "image", tuple(_index(y, "image") for y in self.image))
         if len(self.image) != self.domain_n:
             raise InvalidArgument(
                 f"map on {self.domain_n} points needs {self.domain_n} images, "
@@ -81,17 +81,13 @@ def subspace_prob(p: PSpace, y: int, a: int) -> float:
     The maximum of ``p`` over all ambient subsets whose intersection with
     ``y`` is ``a``, i.e. over ``a | c`` for ``c`` ranging through the
     complement of ``y``; 2^(n - |y|) table lookups.
+    NaN and values below 0 are passed over: the result is at least +0.0.
     """
     check_mask(y, p.n)
     if a & ~y:
         raise NotASubset(f"mask {a} is not contained in subspace {y}")
-    table = p.table
-    best = 0.0
-    for c in submasks(full_mask(p.n) ^ y):
-        v = table[a | c]
-        if v > best:
-            best = v
-    return best
+    outside = _hull([1 << i for i in bits(full_mask(p.n) ^ y)])
+    return float(np.fmax.reduce(p._array()[a | outside], initial=0.0) + 0.0)
 
 
 def subspace(p: PSpace, y: int) -> PSpace:
@@ -105,7 +101,7 @@ def subspace(p: PSpace, y: int) -> PSpace:
     ``y`` to be the full mask returns ``p``'s table with -0.0 read as 0.0.
     """
     check_mask(y, p.n)
-    cube = np.asarray(p.table).reshape((2,) * p.n)
+    cube = p._array().reshape((2,) * p.n)
     outside = tuple(p.n - 1 - i for i in range(p.n) if not y >> i & 1)
     table = cube.max(axis=outside).ravel() + 0.0
     return PSpace(y.bit_count(), tuple(table.tolist()))
@@ -128,7 +124,7 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
     point_pre = [0] * q.n
     for x, y in enumerate(f.image):
         point_pre[y] |= 1 << x
-    bad = np.asarray(p.table)[_hull(point_pre)] < np.asarray(q.table)
+    bad = p._array()[_hull(point_pre)] < q._array()
     first = int(np.argmax(bad))
     return first if bad[first] else None
 

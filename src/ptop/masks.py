@@ -8,10 +8,18 @@ All functions here are pure and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import operator
 import os
 from typing import Iterator
 
-from .errors import CapExceeded, MaskOutOfRange, NotASubset, ProbabilityOutOfRange, PtopError
+from .errors import (
+    CapExceeded,
+    InvalidArgument,
+    MaskOutOfRange,
+    NotASubset,
+    ProbabilityOutOfRange,
+    PtopError,
+)
 
 # Absolute ground-size cap. Tables above 2^20 entries stop being
 # desk-scale even for the O(n 2^n) decision and completion; individual
@@ -31,8 +39,16 @@ def max_ground_size() -> int:
     return max(0, min(N_MAX, value))
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int, through ``operator.index``: numpy integers pass, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_ground_size(n: int) -> None:
-    if n < 0:
+    if _index(n, "ground size") < 0:
         raise MaskOutOfRange(f"ground size must be non-negative, got {n}")
     cap = max_ground_size()
     if n > cap:
@@ -40,6 +56,8 @@ def check_ground_size(n: int) -> None:
 
 
 def check_mask(mask: int, n: int) -> None:
+    if type(mask) is not int:  # build checks every entry: plain ints skip the call
+        mask = _index(mask, "mask")
     if not 0 <= mask < (1 << n):
         raise MaskOutOfRange(f"mask {mask} out of range for ground size {n}")
 
@@ -55,7 +73,12 @@ def full_mask(n: int) -> int:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Yield the positions of the set bits, lowest first."""
+    """Yield the positions of the set bits, lowest first.
+
+    A negative mask has endless set bits, so it raises :class:`MaskOutOfRange`.
+    """
+    if mask < 0:
+        raise MaskOutOfRange(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -2,9 +2,10 @@
 
 Every oracle here recomputes its answer from the definitions with plain
 loops (no numpy, no shared helpers from the package beyond data types),
-so agreement with the library is meaningful.  The one hypothesis
-strategy here, :func:`many_level_spaces`, builds its spaces with these
-oracles as well.
+so agreement with the library is meaningful.  The hypothesis strategies
+here build their tables with these oracles as well:
+:func:`many_level_spaces` valid ones, and :func:`spiked_tables` the same
+with some entries replaced by NaN, signed zeros or out-of-range values.
 """
 
 from itertools import combinations
@@ -118,6 +119,19 @@ def many_level_spaces(draw, max_n=5):
     return WeightTable(n, tuple(brute_recon(sep, n)))
 
 
+SPIKES = (float("nan"), -0.0, 0.0, -0.5, 1.5, float("inf"), float("-inf"))
+
+
+@st.composite
+def spiked_tables(draw, max_n=5):
+    """A table of :func:`many_level_spaces` with some entries replaced by SPIKES."""
+    w = draw(many_level_spaces(max_n))
+    table = list(w.table)
+    for mask in draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=len(table))):
+        table[mask] = draw(st.sampled_from(SPIKES))
+    return WeightTable(w.n, tuple(table))
+
+
 def brute_families(table, n):
     """All family-scan violations as (kind, members, required, actual),
     by direct enumeration of every family of subsets."""
@@ -209,6 +223,16 @@ def brute_subspace_prob(table, n, y, a):
     return max(table[b] for b in range(1 << n) if b & y == a)
 
 
+def loop_subspace_prob(table, n, y, a):
+    """The trace value as a running strict maximum from 0.0, which passes
+    over NaN, -0.0 and negative values."""
+    best = 0.0
+    for b in range(1 << n):
+        if b & y == a and table[b] > best:
+            best = table[b]
+    return best
+
+
 def classically_continuous(image, opens_dom, opens_cod) -> bool:
     for a in opens_cod:
         pre = 0
@@ -253,6 +277,16 @@ def brute_disconnected(table, n, q) -> bool:
         for a in range(1, full)
         if a != 0 and (full ^ a) != 0
     )
+
+
+def loop_disconnection(table, n, q):
+    """The partition (a, complement of a) with both blocks valued >= q and the
+    least odd a, or None, by a loop over the odd masks."""
+    full = (1 << n) - 1
+    for a in range(1, full, 2):
+        if table[a] >= q and table[full ^ a] >= q:
+            return a, full ^ a
+    return None
 
 
 def brute_threshold(table, n):

@@ -124,7 +124,10 @@ def test_connectivity_at_q(files, capsys):
     code, out, _ = run(capsys, "connectivity", files["p1"], "--q", "0.31")
     assert (code, out) == (0, "connected\n")
     code, _, err = run(capsys, "connectivity", files["p1"], "--q", "1.5")
-    assert code == 2 and "error:" in err
+    assert (code, err) == (2, "error: threshold 1.5 not in [0, 1]\n")
+    # --q reads probabilities as PTOP files do, so float()'s digit separators are refused.
+    code, out, err = run(capsys, "connectivity", files["p1"], "--q", "0.2_5")
+    assert (code, out, err) == (2, "", "error: bad threshold '0.2_5'\n")
 
 
 def test_cover_command(files, capsys):

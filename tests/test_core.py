@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ import pytest
 from ptop import (
     CapExceeded,
     DuplicateMask,
+    InvalidArgument,
     MaskOutOfRange,
     NotAPSpace,
     NotATopology,
@@ -731,6 +734,53 @@ def test_bulk_built_reports_cannot_be_told_apart():
         assert dataclasses.replace(r, actual=-1.0) == dataclasses.replace(c, actual=-1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.actual = -1.0
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _unpickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("cls", [WeightTable, PSpace])
+def test_the_float64_array_stays_out_of_the_instance(cls):
+    nan = float("nan")
+    w = cls(2, (1.0, -0.0, nan, 1.0))
+    twin = cls(2, w.table)  # the same NaN object, and no array made
+    plain = cls(2, (1.0, 0.5, 0.25, 1.0))
+    before = [(repr(x), hash(x)) for x in (w, plain)]
+    t = w._array()
+    assert t is w._array() and plain._array().tolist() == list(plain.table)
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[1] = 0.5
+    assert _bits(t) == _bits(w.table)  # -0.0 and NaN kept
+    assert list(vars(w)) == ["n", "table"]
+    assert w == twin and hash(w) == hash(twin) and w != plain
+    assert [(repr(x), hash(x)) for x in (w, plain)] == before
+    for clone in (_unpickled, copy.copy, copy.deepcopy, dataclasses.replace):
+        back = clone(w)
+        assert type(back) is cls and list(vars(back)) == ["n", "table"]
+        assert _bits(back.table) == _bits(w.table) and _bits(back._array()) == _bits(t)
+        assert clone(plain) == plain
+    assert dataclasses.replace(w, n=0, table=(1.0,)) == cls(0, (1.0,))
+    assert weakref.ref(w)() is w
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.table = plain.table
+    messages = []
+    for table in ((1.0,) * 3, np.ones(3)):
+        with pytest.raises(InvalidArgument) as err:
+            cls(2, table)
+        messages.append(str(err.value))
+    assert messages == ["table for ground size 2 needs 4 entries, got 3"] * 2
+
+
+def test_as_pspace_shares_the_array_it_checked():
+    w = build(2, [(0b01, 0.5)])
+    p = as_pspace(w)
+    assert p._array() is w._array() and _bits(p._array()) == _bits(p.table)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,19 +1,24 @@
 """Every public function reports bad arguments with a PtopError."""
 
+import numpy as np
 import pytest
 
 from ptop import (
+    Cover,
     InvalidArgument,
     LevelChain,
     PointMap,
     PtopError,
     WeightTable,
+    build,
     parse_mask_token,
+    prob,
     random_pspace,
 )
 from ptop.fileio import _parse_probability_token
 
 TOPO = frozenset({0, 3})
+W2 = WeightTable(2, (1.0, 0.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -35,6 +40,11 @@ TOPO = frozenset({0, 3})
         (lambda: parse_mask_token("ten"), "bad mask literal 'ten'"),
         (lambda: _parse_probability_token("1_0"), "bad probability literal '1_0'"),
         (lambda: _parse_probability_token("half"), "bad probability literal 'half'"),
+        (lambda: WeightTable(2.0, W2.table), "ground size must be an integer, got 2.0"),
+        (lambda: build(2, [(1.5, 0.5)]), "mask must be an integer, got 1.5"),
+        (lambda: prob(W2, 1.5), "mask must be an integer, got 1.5"),
+        (lambda: Cover(2, (1.5, 3)), "cover member must be an integer, got 1.5"),
+        (lambda: PointMap(2, 2, (0, 1.5)), "image must be an integer, got 1.5"),
     ],
 )
 def test_argument_errors_are_ptop_errors_and_value_errors(call, message):
@@ -42,3 +52,12 @@ def test_argument_errors_are_ptop_errors_and_value_errors(call, message):
         call()
     assert isinstance(err.value, PtopError) and isinstance(err.value, ValueError)
     assert str(err.value) == message
+
+
+def test_numpy_integers_pass_as_sizes_masks_and_points():
+    n = np.int64(2)
+    assert WeightTable(n, W2.table) == W2
+    assert build(n, [(np.int32(1), 0.5)]).table == (1.0, 0.5, 0.0, 1.0)
+    assert prob(W2, np.uint8(3)) == 1.0
+    assert Cover(n, (np.int64(1), np.int16(3))).members == (1, 3)
+    assert PointMap(n, n, np.array([1, 0])).image == (1, 0)

@@ -35,8 +35,10 @@ from oracles import (
     brute_pairwise,
     brute_subspace_prob,
     classically_continuous,
+    loop_subspace_prob,
     many_level_spaces,
     rng_for,
+    spiked_tables,
 )
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
@@ -59,11 +61,16 @@ def test_subspace_prob_examples():
 
 
 def _check_subspace_prob(p, y):
+    in_range = all(0.0 <= v <= 1.0 for v in p.table)
     for a in range(1 << p.n):
         if a & ~y:
             continue
-        assert subspace_prob(p, y, a) == brute_subspace_prob(p.table, p.n, y, a)
-        assert subspace_prob(p, y, a) >= p.table[a]  # trace dominance
+        got = subspace_prob(p, y, a)
+        assert type(got) is float
+        assert got.hex() == loop_subspace_prob(p.table, p.n, y, a).hex()
+        if in_range:
+            assert got == brute_subspace_prob(p.table, p.n, y, a)
+            assert got >= p.table[a]  # trace dominance
 
 
 def test_subspace_prob_matches_brute_force():
@@ -75,7 +82,7 @@ def test_subspace_prob_matches_brute_force():
 
 
 @settings(max_examples=100, deadline=None)
-@given(many_level_spaces(max_n=6), st.data())
+@given(st.one_of(many_level_spaces(max_n=6), spiked_tables(max_n=6)), st.data())
 def test_subspace_prob_matches_brute_force_on_many_level_spaces(w, data):
     _check_subspace_prob(PSpace(w.n, w.table), data.draw(st.integers(0, full_mask(w.n))))
 

@@ -1,7 +1,13 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+import ptop
 from ptop import (
     MaskOutOfRange,
     NotASubset,
@@ -66,6 +72,32 @@ def test_compress_and_decompress_match_a_plain_loop():
         for a in range(1 << k, 1 << 9):
             with pytest.raises(MaskOutOfRange):
                 decompress(a, y)
+
+
+def test_negative_masks_raise_promptly_in_a_child():
+    # A negative int has endless set bits, so a bit walk over it never ends;
+    # a child with a timeout turns such a hang into a failure.
+    code = (
+        "from ptop import MaskOutOfRange, bits, compress, decompress\n"
+        "calls = (lambda: list(bits(-1)), lambda: compress(0, -1), lambda: decompress(0, -6))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except MaskOutOfRange as err:\n"
+        "        print(err)\n"
+    )
+    src = str(Path(ptop.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (
+        0,
+        "mask -1 is negative\nmask -1 is negative\nmask -6 is negative\n",
+    )
 
 
 def test_bits_and_submasks():

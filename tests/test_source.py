@@ -73,3 +73,28 @@ def test_library_modules_use_every_name_they_import():
                     if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def test_only_core_turns_a_table_into_an_array():
+    # core keeps one read-only float64 array per table (WeightTable._array);
+    # a module converting `.table` itself would pay for the conversion on
+    # every call and hold a second copy.
+    converters = {"asarray", "array", "fromiter"}
+    offenders = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+                and node.func.attr in converters
+            ):
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(a, ast.Attribute) and a.attr == "table" for a in args):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
