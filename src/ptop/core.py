@@ -100,7 +100,12 @@ class WeightTable:
 
     def __post_init__(self):
         check_ground_size(self.n)
-        object.__setattr__(self, "table", tuple(map(float, self.table)))
+        try:
+            object.__setattr__(self, "table", tuple(map(float, self.table)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(
+                f"table for ground size {self.n} must list real numbers ({exc})"
+            ) from None
         if len(self.table) != 1 << self.n:
             raise InvalidArgument(
                 f"table for ground size {self.n} needs {1 << self.n} entries, "
@@ -487,9 +492,9 @@ def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:
     return out
 
 
-def _hull(parts) -> np.ndarray:
+def _hull(parts, rows=()) -> np.ndarray:
     """The table S -> OR{parts[x] : x in S} over the len(parts) points: O(2^n)."""
-    return _subset_fold(parts, np.bitwise_or, 0)
+    return _subset_fold(parts, np.bitwise_or, 0, rows)
 
 
 def _closure(n: int, member: np.ndarray) -> np.ndarray:
@@ -497,14 +502,26 @@ def _closure(n: int, member: np.ndarray) -> np.ndarray:
 
     One O(2^n) fold gives every minimal neighbourhood N(x) (see the module
     docstring); S is open exactly when the hull OR{N(x) : x in S}, which
-    contains S, equals S.
+    contains S, equals S.  ``member`` may stack tables in rows, each
+    closed on its own.
     """
     table = np.where(member, np.arange(1 << n), (1 << n) - 1)
     nbhd = [0] * n
     for x in reversed(range(n)):
-        nbhd[x] = np.bitwise_and.reduce(table[1 << x :])
-        table = table[: 1 << x] & table[1 << x :]
-    return _hull(nbhd) == np.arange(1 << n)
+        nbhd[x] = np.bitwise_and.reduce(table[..., 1 << x :], axis=-1, keepdims=True)
+        table = table[..., : 1 << x] & table[..., 1 << x :]
+    return _hull(nbhd, member.shape[:-1]) == np.arange(1 << n)
+
+
+def _all_closed(n: int, members: np.ndarray) -> bool:
+    """True when every row of ``members``, one boolean table each, marks a topology.
+
+    Rows are closed together, in blocks of at most _FOLD_CELLS cells, so
+    an N_MAX table still takes one row at a time.
+    """
+    step = max(1, _FOLD_CELLS >> n)
+    blocks = (members[i : i + step] for i in range(0, len(members), step))
+    return all(np.array_equal(block, _closure(n, block)) for block in blocks)
 
 
 def _bad_partners(n: int, member: np.ndarray) -> np.ndarray:

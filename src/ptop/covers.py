@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import PSpace
 from .errors import DimensionMismatch, DuplicateMask, NotACover
-from .masks import _index, bits, check_ground_size, check_mask, full_mask
+from .masks import _check_real, _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ def qcover_witness(p: PSpace, cover: Cover, q: float) -> CoverDefect | None:
         raise DimensionMismatch(
             f"cover on {cover.n} points used with a space on {p.n} points"
         )
+    _check_real(q, "threshold")
     missed = full_mask(p.n) & ~cover.union()
     if missed:
         return CoverDefect("uncovered-point", point=next(bits(missed)))
@@ -104,53 +105,76 @@ def is_qcompact(p: PSpace, q: float) -> CompactnessVerdict:
 def min_subcover(cover: Cover) -> Cover:
     """A minimum-cardinality sub-list of members whose union is the full set.
 
-    Iterative deepening tries index tuples by size, then lexicographically,
-    so the smallest sorted index tuple of minimum size wins.  Its prunes:
-    the members from the current index on must still cover, the uncovered
-    points must fit in the picks left at the widest member's size, and a
-    member adding no point is skipped.  The cost is exponential in the
-    answer size; the recursion is at most as deep as the answer (<= n).
-    On a shared 2-core VM, 40 covers of 30-40 members on 20 points (answers
-    of 6-9) took 0.3 s in all; 1,502 members with a 2-member answer 0.6 ms.
+    The smallest sorted index tuple of minimum size wins.  One exact test
+    decides whether at most ``left`` members from index ``lo`` on complete
+    a covered set: it branches on the uncovered point with the fewest such
+    holders, since one of them must be picked, and it remembers the states
+    that failed.  The test finds the minimum size k, counting up from 0;
+    then each position takes the first index whose pick still passes it
+    with the picks after it drawn from above that index.  Holders are
+    per-point bitsets over member indices, made in one numpy pass.  The
+    cost is exponential in the answer size; the recursion is at most as
+    deep as the answer (<= n).  On a shared 2-core VM, 150 covers of 33-40
+    members of 1-4 points on 20 points take 0.12-0.19 s in all (the
+    slowest 4-12 ms), 1,502 members with a 2-member answer 0.22 ms, and
+    4-9 members on 8 points about 50 us, a fifth of it the numpy pass.
     Raises :class:`NotACover` when the members do not cover.
     """
     full = full_mask(cover.n)
     members = cover.members
     if missed := full & ~cover.union():
         raise NotACover(f"members do not cover point {next(bits(missed))}")
-    m = len(members)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | members[i]
-    widest = max((mask.bit_count() for mask in members), default=1) or 1
+    held = np.array(members, dtype=np.int64) & 1 << np.arange(cover.n)[:, None] != 0
+    # holders[x] has bit j set when member j holds point x
+    holders = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(held, axis=1, bitorder="little")
+    ]
+    widest = int(held.sum(axis=0).max(initial=1))
+    failed: dict[tuple[int, int], int] = {}  # (covered, lo) -> most picks found too few
 
-    def first(i: int, covered: int, left: int) -> tuple[int, ...] | None:
-        """The lexicographically first tuple of <= ``left`` indices >= i completing ``covered``."""
+    def fits(covered: int, lo: int, left: int) -> tuple[int, ...] | None:
+        """At most ``left`` indices >= ``lo`` whose members complete ``covered``, or None."""
         if covered == full:
             return ()
-        if (full & ~covered).bit_count() > left * widest:
+        missing = full & ~covered
+        if missing.bit_count() > left * widest or failed.get((covered, lo), -1) >= left:
             return None
-        for j in range(i, m):
-            if covered | suffix[j] != full:
-                return None
-            if covered | members[j] != covered:
-                rest = first(j + 1, covered | members[j], left - 1)
-                if rest is not None:
-                    return (j, *rest)
+        scarce = min((holders[x] >> lo for x in bits(missing)), key=int.bit_count)
+        for j in bits(scarce):
+            if (rest := fits(covered | members[lo + j], lo, left - 1)) is not None:
+                return (lo + j, *rest)
+        failed[covered, lo] = left
         return None
 
-    left = 0
-    while (picks := first(0, 0, left)) is None:
-        left += 1
-    return Cover(cover.n, tuple(members[j] for j in picks))
+    size = 0
+    while (witness := fits(0, 0, size)) is None:
+        size += 1
+    picks, covered, lo = [], 0, 0
+    while witness:
+        # The witness's least index passes, so only the indices below it are
+        # tried; a pick adding no point would leave a smaller cover.
+        j, *rest = sorted(witness)
+        for i in range(lo, j):
+            if covered | members[i] != covered and (
+                found := fits(covered | members[i], i + 1, len(rest))
+            ) is not None:
+                j, rest = i, found
+                break
+        picks.append(members[j])
+        covered |= members[j]
+        lo, witness = j + 1, rest
+    return Cover(cover.n, tuple(picks))
 
 
 def disconnection_witness(p: PSpace, q: float) -> tuple[int, int] | None:
     """A two-block partition with both blocks nonempty at value >= q, or None.
 
     The returned witness is the smallest qualifying mask containing point 0,
-    paired with its complement.  Scans 2^(n-1) partitions.
+    paired with its complement.  Scans 2^(n-1) partitions.  Any real q
+    is taken, the -inf of :func:`connectivity_threshold` included.
     """
+    _check_real(q, "threshold")
     full = full_mask(p.n)
     t = p._array()
     a = np.arange(1, full, 2, dtype=np.int64)

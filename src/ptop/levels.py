@@ -20,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _topology_table, prob
+from .core import PSpace, _all_closed, _family_mask, _topology_table, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
-from .errors import ChainNotNested, InvalidArgument, MissingBase, ProbabilityOutOfRange
+from .errors import (
+    ChainNotNested,
+    InvalidArgument,
+    MissingBase,
+    ProbabilityOutOfRange,
+    PtopError,
+)
 from .masks import check_ground_size, check_mask, check_probability
 
 
@@ -47,16 +53,18 @@ class LevelChain:
         Checks, in this order: the levels, then each member's mask range
         and closedness (:class:`MaskOutOfRange`, :class:`NotATopology`),
         then nesting (:class:`ChainNotNested`), then the base.  Each member
-        becomes one boolean table over the 2^n subsets, and closedness is
-        decided on it in O(2^n) by comparing it with its closure, so a chain
-        of k members costs O(k 2^n) plus one pass over its members; only a
-        member that fails has its defect named, by the O(n 2^n) count of
+        becomes one boolean table over the 2^n subsets, stacked in rows; one
+        closure of the stack decides every member's closedness in O(k 2^n)
+        for k members, and one comparison of neighbouring rows decides
+        nesting.  Only a chain that fails there goes through its members one
+        at a time, so that the first failing member is the one named, with
+        its defect from the O(n 2^n) count of
         :func:`~ptop.core.topology_defect`.
         """
         self._member_tables()
 
-    def _member_tables(self) -> list[np.ndarray]:
-        """Validate the chain and return each member as a boolean table."""
+    def _member_tables(self) -> np.ndarray:
+        """Validate the chain and return its members as stacked boolean tables."""
         check_ground_size(self.n)
         if not self.levels:
             raise InvalidArgument("a level chain needs at least one level")
@@ -68,13 +76,20 @@ class LevelChain:
                 raise InvalidArgument("levels must be strictly increasing")
         if self.levels[-1] != 1.0:
             raise InvalidArgument("the last level must be 1")
-        tables = [
-            _topology_table(self.n, topo, "chain member is not a topology")
-            for topo in self.topologies
-        ]
-        for higher, lower in zip(tables, tables[1:]):
-            if (lower & ~higher).any():
-                raise ChainNotNested("each topology must contain the next one")
+        tables = np.empty((len(self.topologies), 1 << self.n), dtype=bool)
+        try:
+            for row, topo in zip(tables, self.topologies):
+                row[:] = _family_mask(self.n, topo)
+        except (PtopError, TypeError):
+            closed = False
+        else:
+            closed = _all_closed(self.n, tables)
+        if not closed:
+            # Some member fails: check them in order, naming the first one.
+            for row, topo in zip(tables, self.topologies):
+                row[:] = _topology_table(self.n, topo, "chain member is not a topology")
+        if (tables[1:] & ~tables[:-1]).any():
+            raise ChainNotNested("each topology must contain the next one")
         if self.base is not None and not 0.0 <= self.base < self.levels[0]:
             raise ProbabilityOutOfRange(
                 f"base {self.base!r} must lie in [0, {self.levels[0]!r})"

@@ -84,7 +84,7 @@ def subspace_prob(p: PSpace, y: int, a: int) -> float:
     NaN and values below 0 are passed over: the result is at least +0.0.
     """
     check_mask(y, p.n)
-    if a & ~y:
+    if _index(a, "mask") & ~y:
         raise NotASubset(f"mask {a} is not contained in subspace {y}")
     outside = _hull([1 << i for i in bits(full_mask(p.n) ^ y)])
     return float(np.fmax.reduce(p._array()[a | outside], initial=0.0) + 0.0)

@@ -2,15 +2,19 @@
 
 Bit i of a mask is set exactly when point i belongs to the subset, which
 fixes a canonical point ordering: file formats and examples are bit-exact.
-The shared argument checks live here too: ground sizes, masks, probabilities.
+The shared argument checks live here too: ground sizes, masks, real numbers
+and probabilities.
 All functions here are pure and safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -62,8 +66,24 @@ def check_mask(mask: int, n: int) -> None:
         raise MaskOutOfRange(f"mask {mask} out of range for ground size {n}")
 
 
+def _check_real(q: float, what: str) -> None:
+    """Raise :class:`InvalidArgument`, naming ``q`` as ``what``, unless ``q`` is a real number.
+
+    Python and numpy real scalars pass, and so do 0-d real arrays; strings,
+    None, complex numbers and arrays of one or more dimensions do not.
+    """
+    if not isinstance(q, (float, int, numbers.Real)) and not (  # plain types skip the ABC check
+        isinstance(q, np.ndarray) and q.ndim == 0 and q.dtype.kind in "biuf"
+    ):
+        raise InvalidArgument(f"{what} must be a real number, got {q!r}")
+
+
 def check_probability(q: float, what: str) -> None:
-    """Raise :class:`ProbabilityOutOfRange`, naming ``q`` as ``what``, unless 0 <= q <= 1."""
+    """Raise :class:`ProbabilityOutOfRange`, naming ``q`` as ``what``, unless 0 <= q <= 1.
+
+    A ``q`` that is no real number raises :class:`InvalidArgument` instead.
+    """
+    _check_real(q, what)
     if not 0.0 <= q <= 1.0:
         raise ProbabilityOutOfRange(f"{what} {q!r} not in [0, 1]")
 
@@ -112,6 +132,7 @@ def compress(a: int, y: int) -> int:
     relative order of points is preserved; bijective from the subsets of
     ``y`` onto the masks below 2^|y|.
     """
+    a, y = _index(a, "mask"), _index(y, "mask")
     if a & ~y:
         raise NotASubset(f"mask {a} is not contained in {y}")
     return sum(1 << k for k, i in enumerate(bits(y)) if a >> i & 1)
@@ -119,6 +140,7 @@ def compress(a: int, y: int) -> int:
 
 def decompress(a: int, y: int) -> int:
     """Inverse of :func:`compress`: deposit bit k of ``a`` at the k-th bit of ``y``."""
+    a, y = _index(a, "mask"), _index(y, "mask")
     if a >> y.bit_count():
         raise MaskOutOfRange(f"mask {a} out of range for a subspace of size {y.bit_count()}")
     return sum(1 << i for k, i in enumerate(bits(y)) if a >> k & 1)

@@ -120,6 +120,27 @@ def test_min_subcover_matches_brute_force():
         assert min_subcover(cover).members == tuple(members[i] for i in picks)
 
 
+def test_min_subcover_matches_brute_force_on_mid_size_covers():
+    # 10-18 members of 1-4 points on 8-12 points, then a singleton for each
+    # uncovered point: answers of 3-7, often with ties broken by index order.
+    rng = rng_for(1616)
+    for _ in range(150):
+        n = 8 + rng.below(5)
+        members = []
+        for _ in range(10 + rng.below(9)):
+            m = 0
+            for _ in range(1 + rng.below(4)):
+                m |= 1 << rng.below(n)
+            if m not in members:
+                members.append(m)
+        missing = (1 << n) - 1
+        for m in members:
+            missing &= ~m
+        members += [1 << x for x in range(n) if missing >> x & 1]
+        picks = brute_min_cover_indices(members, n)
+        assert min_subcover(Cover(n, tuple(members))).members == tuple(members[i] for i in picks)
+
+
 def test_min_subcover_recursion_depth_follows_the_answer():
     # One 19-point member, 1,500 four-point members inside it, then {19}: the
     # answer has 2 members, so the search must not recurse once per member.

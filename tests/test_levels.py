@@ -26,7 +26,14 @@ from ptop import (
     verify_pairwise,
 )
 import ptop
-from oracles import all_topologies, is_classical_topology, many_level_spaces
+from oracles import (
+    all_topologies,
+    brute_closure,
+    brute_topology_defect,
+    is_classical_topology,
+    many_level_spaces,
+    rng_for,
+)
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
 
@@ -157,6 +164,13 @@ EDGE_CHAINS = [
     ((2, (0.5, 1.0), ({0, 1, 3}, {0, 3, -1}), 0.0), ("MaskOutOfRange",)),
     # a member's defect is found before the pair that is not nested
     ((3, (0.5, 1.0), ({0, 7}, {0, 1, 2, 7}), 0.0), ("NotATopology", ("union", 1, 2))),
+    # an earlier member's defect is found before a later member's bad mask
+    ((3, (0.5, 1.0), ({0, 1, 2, 7}, {0, 7, 8}), 0.0), ("NotATopology", ("union", 1, 2))),
+    ((3, (0.5, 1.0), ({0, 1, 2, 7}, {0, 7, 7.5}), 0.0), ("NotATopology", ("union", 1, 2))),
+    # a nested chain whose second member is not a topology names that member's defect
+    ((3, (0.5, 1.0), ({0, 1, 2, 3, 7}, {0, 1, 2, 7}), 0.0), ("NotATopology", ("union", 1, 2))),
+    ((3, (0.25, 0.5, 1.0), ({0, 1, 3, 5, 7}, {0, 1, 3, 5, 7}, {0, 3, 5, 7}), 0.0),
+     ("NotATopology", ("intersection", 3, 5))),
     # a pair that is not nested is found before the base out of range
     ((2, (0.5, 1.0), ({0, 3}, {0, 1, 3}), 0.9), ("ChainNotNested",)),
     # the lowest subset in no member is named
@@ -201,3 +215,36 @@ def test_chain_edge_cases_agree_under_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == repr([chain_outcome(*case) for case, _ in EDGE_CHAINS]) + "\n"
+
+
+def test_chain_members_are_checked_in_order():
+    # Chains of random topologies, some with a mask toggled and some not
+    # nested: the members are decided together, but the error must be that
+    # of checking them one at a time, first member first, then nesting.
+    rng = rng_for(1617)
+    for _ in range(300):
+        n, k = 1 + rng.below(4), 1 + rng.below(4)
+        members = []
+        for _ in range(k):
+            topo = brute_closure(n, [rng.below(1 << n) for _ in range(rng.below(n + 2))])
+            if members and rng.below(2):
+                topo &= members[-1]
+            if not rng.below(4):
+                topo ^= {rng.below(1 << n)}
+            members.append(frozenset(topo))
+        expected = None
+        for topo in members:
+            defect = brute_topology_defect(n, topo)
+            if defect is not None:
+                expected = ("NotATopology", defect)
+                break
+        else:
+            if any(not lower <= higher for higher, lower in zip(members, members[1:])):
+                expected = ("ChainNotNested", None)
+        levels = tuple((i + 1) / k for i in range(k))
+        try:
+            LevelChain(n, levels, tuple(members), 0.0).validate()
+            got = None
+        except PtopError as exc:
+            got = (type(exc).__name__, getattr(exc, "defect", None))
+        assert got == expected
