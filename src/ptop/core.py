@@ -63,7 +63,7 @@ from .errors import (
     NotATopology,
     ProbabilityOutOfRange,
 )
-from .masks import bits, check_ground_size, check_mask
+from .masks import _check_real, _index, bits, check_ground_size, check_mask
 
 # Documented caps: listing the violations of an invalid table with C candidate
 # masks is O(|C|^2), capped at |C| <= 2^PAIRWISE_CAP (the pair cells of a full
@@ -127,12 +127,28 @@ class PSpace(WeightTable):
 
     Constructing one directly performs no axiom check; instances coming
     out of :func:`complete`, :func:`from_topology`, :func:`as_pspace`,
-    subspace construction or level-chain reconstruction are valid by
-    construction (the test suite checks reconstruction and subspaces
-    against brute-force oracles).
-    :func:`as_pspace` decides validity in O(n 2^n) through the
-    separation matrix and shares the input's float64 array with its result.
+    subspace construction, level-chain reconstruction or generation are
+    valid by construction (the test suite checks reconstruction and
+    subspaces against brute-force oracles), and all of them are made by
+    :func:`_pspace`.  :func:`as_pspace` decides validity in O(n 2^n)
+    through the separation matrix and shares the input's tuple and float64
+    array with its result.
     """
+
+
+def _pspace(n: int, array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace:
+    """The space on n points whose float64 table is ``array``, valid by construction.
+
+    ``array`` becomes the space's read-only ``_array()``; ``table``, when
+    not given, is converted from it once.  No check runs, and
+    ``__post_init__``'s per-entry conversion is skipped.
+    """
+    p = object.__new__(PSpace)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "table", tuple(array.tolist()) if table is None else table)
+    array.flags.writeable = False
+    object.__setattr__(p, "_float64", array)
+    return p
 
 
 Kind = Literal["range", "boundary", "union", "intersection"]
@@ -191,6 +207,8 @@ def build(n: int, entries: Iterable[tuple[int, float]]) -> WeightTable:
         if mask in seen:
             raise DuplicateMask(f"mask {mask} listed twice")
         seen.add(mask)
+        if type(value) is not float and type(value) is not int:  # plain types skip the call
+            _check_real(value, f"value for mask {mask}")
         v = float(value)
         if not 0.0 <= v <= 1.0:
             raise ProbabilityOutOfRange(f"value {v!r} for mask {mask} not in [0, 1]")
@@ -442,7 +460,7 @@ def complete(w: WeightTable) -> PSpace:
     if bad.size:
         mask = int(bad[0])
         raise ProbabilityOutOfRange(f"value {w.table[mask]!r} for mask {mask} not in [0, 1]")
-    return PSpace(w.n, tuple(_recon(_separation(t + 0.0, w.n), w.n).tolist()))
+    return _pspace(w.n, _recon(_separation(t + 0.0, w.n), w.n))
 
 
 def as_pspace(w: WeightTable) -> PSpace:
@@ -459,23 +477,29 @@ def as_pspace(w: WeightTable) -> PSpace:
             f"{len(violations)} violation(s) total",
             violation=first,
         )
-    p = PSpace(w.n, w.table)
-    object.__setattr__(p, "_float64", w._array())
-    return p
+    return _pspace(w.n, w._array(), w.table)
 
 
 def _family_mask(n: int, members) -> np.ndarray:
     """The boolean table over the 2^n subsets that marks ``members``.
 
-    ``members`` is a sized collection of masks; :class:`MaskOutOfRange`
-    is raised on any mask outside [0, 2^n), checked on the least and the
-    greatest member before any of them is converted.
+    ``members`` is a sized collection of masks.  A member that is no
+    integer raises :class:`InvalidArgument` (bools and numpy integers
+    pass); then :class:`MaskOutOfRange` is raised on any mask outside
+    [0, 2^n), checked on the least and then the greatest member.
     """
     member = np.zeros(1 << n, dtype=bool)
     if members:
-        check_mask(min(members), n)
-        check_mask(max(members), n)
-        member[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+        if not set(map(type, members)) <= {int}:  # plain ints skip the per-member call
+            members = [_index(m, "mask") for m in members]
+        try:
+            masks = np.fromiter(members, dtype=np.int64, count=len(members))
+            least, greatest = masks.min(), masks.max()
+        except OverflowError:  # a member beyond int64, so out of range below
+            least, greatest = min(members), max(members)
+        check_mask(int(least), n)
+        check_mask(int(greatest), n)
+        member[masks] = True
     return member
 
 
@@ -513,15 +537,19 @@ def _closure(n: int, member: np.ndarray) -> np.ndarray:
     return _hull(nbhd, member.shape[:-1]) == np.arange(1 << n)
 
 
-def _all_closed(n: int, members: np.ndarray) -> bool:
-    """True when every row of ``members``, one boolean table each, marks a topology.
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """Consecutive slices of ``rows`` stacked tables of 2^n cells, at most _FOLD_CELLS cells each.
 
-    Rows are closed together, in blocks of at most _FOLD_CELLS cells, so
-    an N_MAX table still takes one row at a time.
+    Stacked tables close together in these blocks, so an N_MAX table still
+    takes one row at a time.
     """
     step = max(1, _FOLD_CELLS >> n)
-    blocks = (members[i : i + step] for i in range(0, len(members), step))
-    return all(np.array_equal(block, _closure(n, block)) for block in blocks)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _all_closed(n: int, members: np.ndarray) -> bool:
+    """True when every row of ``members``, one boolean table each, marks a topology."""
+    return all(np.array_equal(members[b], _closure(n, members[b])) for b in _row_blocks(n, len(members)))
 
 
 def _bad_partners(n: int, member: np.ndarray) -> np.ndarray:
@@ -605,4 +633,4 @@ def from_topology(n: int, opens: Iterable[int]) -> PSpace:
     """
     check_ground_size(n)
     member = _topology_table(n, set(opens), "not a topology")
-    return PSpace(n, tuple(member.astype(np.float64).tolist()))
+    return _pspace(n, member.astype(np.float64))

@@ -5,7 +5,12 @@ of random subbases, intersect them into a shrinking chain (intersections
 of topologies are topologies), attach strictly increasing random levels
 ending at 1, and rebuild the table from the chain.  Every output passes
 the verifiers, and identical (n, k, seed) triples give bit-identical
-tables on every platform.
+tables on every platform.  :func:`random_pspace` keeps the chain as
+boolean tables throughout: the subbases are marked in the rows of a stack
+and closed together (one pass, or blocks of at most 2^20 cells at large
+n), each closure is ANDed into the running intersection, and the table is
+filled from it as :func:`~ptop.levels.reconstruct` fills it, with no
+frozenset built and no member closed twice.
 
 Determinism contract, pinned so seeds can be shared across tools:
 
@@ -26,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _closure, _family_mask
+from .core import PSpace, _closure, _family_mask, _pspace, _row_blocks
 from .errors import InvalidArgument
-from .levels import LevelChain, reconstruct
+# Unused here; benchmarks/spans.py patches this name in this namespace.
+from .levels import reconstruct  # noqa: F401
 from .masks import check_ground_size
 
 _MASK64 = (1 << 64) - 1
@@ -89,12 +95,7 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     if k < 1:
         raise InvalidArgument(f"level count must be at least 1, got {k}")
     rng = SplitMix64(seed)
-    chain_topologies: list[frozenset[int]] = []
-    acc: frozenset[int] | None = None
-    for _ in range(k):
-        topo = random_topology(n, rng)
-        acc = topo if acc is None else acc & topo
-        chain_topologies.append(acc)
+    subbases = [[rng.below(1 << n) for _ in range(rng.below(n + 2))] for _ in range(k)]
     interior: set[float] = set()
     while len(interior) < k - 1:
         u = rng.unit()
@@ -102,9 +103,18 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
             interior.add(u)
     levels = tuple(sorted(interior)) + (1.0,)
     base_draw = rng.unit()  # always consumed, keeps the stream position fixed
-    base: float | None = base_draw * levels[0]
+    base = base_draw * levels[0]
     if base >= levels[0]:  # guard the rounding edge of the scaling
         base = 0.0
-    if len(chain_topologies[0]) == 1 << n:
-        base = None
-    return reconstruct(LevelChain(n, levels, tuple(chain_topologies), base))
+    # When the first topology is the whole powerset, every entry is
+    # overwritten below and the base goes unused.
+    table = np.full(1 << n, base)
+    opens = np.ones(1 << n, dtype=bool)
+    for block in _row_blocks(n, k):
+        seeds = np.zeros((len(subbases[block]), 1 << n), dtype=bool)
+        for row, masks in zip(seeds, subbases[block]):
+            row[masks] = True
+        for q, closed in zip(levels[block], _closure(n, seeds)):
+            opens &= closed  # the chain's next member
+            table[opens] = q  # levels rise, so the highest level holding A wins
+    return _pspace(n, table)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _hull
+from .core import PSpace, _hull, _pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
@@ -103,8 +103,7 @@ def subspace(p: PSpace, y: int) -> PSpace:
     check_mask(y, p.n)
     cube = p._array().reshape((2,) * p.n)
     outside = tuple(p.n - 1 - i for i in range(p.n) if not y >> i & 1)
-    table = cube.max(axis=outside).ravel() + 0.0
-    return PSpace(y.bit_count(), tuple(table.tolist()))
+    return _pspace(y.bit_count(), cube.max(axis=outside).ravel() + 0.0)
 
 
 def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:

@@ -781,6 +781,30 @@ def test_as_pspace_shares_the_array_it_checked():
     w = build(2, [(0b01, 0.5)])
     p = as_pspace(w)
     assert p._array() is w._array() and _bits(p._array()) == _bits(p.table)
+    assert p.table is w.table and type(p) is PSpace
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: complete(build(3, [(1, 0.5), (6, -0.0)])),
+        lambda: from_topology(2, [0, 1, 3]),
+        lambda: ptop.subspace(ptop.random_pspace(4, 3, 2), 0b1011),
+        lambda: ptop.reconstruct(ptop.decompose(ptop.random_pspace(4, 3, 2))),
+        lambda: ptop.random_pspace(5, 4, 9),
+    ],
+    ids=["complete", "from_topology", "subspace", "reconstruct", "random_pspace"],
+)
+def test_results_keep_the_array_they_were_made_from(make):
+    # Results are converted to their tuple once and keep the float64 array
+    # they came from, read-only, out of vars(), as a constructed space does.
+    p = make()
+    assert type(p) is PSpace and list(vars(p)) == ["n", "table"]
+    assert all(type(v) is float for v in p.table)
+    t = p._array()
+    assert t.dtype == np.float64 and not t.flags.writeable and _bits(t) == _bits(p.table)
+    assert p == PSpace(p.n, p.table) and hash(p) == hash(PSpace(p.n, p.table))
+    assert _unpickled(p) == p and _bits(copy.deepcopy(p)._array()) == _bits(t)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

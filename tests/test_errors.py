@@ -1,5 +1,7 @@
 """Every public function reports bad arguments with a PtopError."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ptop import (
     Cover,
     InvalidArgument,
     LevelChain,
+    MaskOutOfRange,
     PointMap,
     PtopError,
     WeightTable,
@@ -21,8 +24,11 @@ from ptop import (
     prob,
     q_open,
     qcover_witness,
+    from_topology,
     random_pspace,
     subspace_prob,
+    topology_closure,
+    topology_defect,
 )
 from ptop.fileio import _parse_probability_token
 
@@ -75,6 +81,16 @@ P2 = as_pspace(W2)
         ),
         (lambda: qcover_witness(P2, Cover(2, (3,)), "1"), "threshold must be a real number, got '1'"),
         (lambda: qcover_witness(P2, Cover(2, (3,)), 1 + 0j), "threshold must be a real number, got (1+0j)"),
+        (lambda: from_topology(2, [0, 1.5, 3]), "mask must be an integer, got 1.5"),
+        (lambda: topology_defect(2, [0, "a", 3]), "mask must be an integer, got 'a'"),
+        (lambda: topology_closure(2, [None]), "mask must be an integer, got None"),
+        (
+            lambda: LevelChain(2, (1.0,), (frozenset({0, 3, 2.0}),), 0.0).validate(),
+            "mask must be an integer, got 2.0",
+        ),
+        (lambda: build(1, [(1, "x")]), "value for mask 1 must be a real number, got 'x'"),
+        (lambda: build(1, [(1, None)]), "value for mask 1 must be a real number, got None"),
+        (lambda: build(1, [(1, "0.5")]), "value for mask 1 must be a real number, got '0.5'"),
     ],
 )
 def test_argument_errors_are_ptop_errors_and_value_errors(call, message):
@@ -117,3 +133,27 @@ def test_real_thresholds_keep_their_answers():
     assert qcover_witness(p, cover, 2.0).kind == "low-probability"
     assert qcover_witness(p, cover, float("-inf")) is None
     assert qcover_witness(p, cover, np.array(1)) is None
+
+
+def test_integer_members_keep_their_range_errors():
+    # Bools and numpy integers pass as members; among plain integers the
+    # least member's range error comes first, then the greatest's.
+    assert from_topology(2, [np.int64(0), True, np.uint8(3)]) == from_topology(2, [0, 1, 3])
+    assert topology_defect(2, (False, np.int32(2), 3)) is None
+    for members, message in [
+        ([-1, 0, 3, 9], "mask -1 out of range for ground size 2"),
+        ([0, 3, 9], "mask 9 out of range for ground size 2"),
+        ([0, 3, 2**70], f"mask {2**70} out of range for ground size 2"),
+        ([-(2**70), 0, 3, 2**70], f"mask {-(2**70)} out of range for ground size 2"),
+        ([0, np.int64(-3), 3], "mask -3 out of range for ground size 2"),
+    ]:
+        with pytest.raises(MaskOutOfRange) as err:
+            topology_defect(2, members)
+        assert str(err.value) == message
+
+
+def test_build_takes_real_values_of_any_numeric_type():
+    for value in (0.5, np.float32(0.5), np.float64(0.5), np.array(0.5), Fraction(1, 2)):
+        assert build(1, [(1, value)]).table == (1.0, 0.5)
+    assert build(1, [(1, True)]).table == (1.0, 1.0)
+    assert build(1, [(1, np.int8(0))]).table == (1.0, 0.0)

@@ -19,6 +19,7 @@ from ptop import (
     verify_pairwise,
 )
 from ptop.cli import main
+import ptop.core
 from oracles import brute_closure, is_classical_topology, rng_for
 
 
@@ -142,3 +143,27 @@ def test_generator_output_bytes_are_pinned():
         k = 1 + seed % 7
         digest.update(serialize_pspace(random_pspace(n, k, seed)).encode())
     assert digest.hexdigest() == GENERATOR_GRID_SHA256
+
+
+# SHA-256 over random_pspace tables and their decompose levels, cuts and
+# bases and reconstruct tables, n <= 12 and k in {1, 2, 6, 9}, taken from the
+# generator that built frozensets and the decomposition that cut the table
+# one level at a time; pins both bit for bit, signed zeros included.
+CHAIN_GRID_SHA256 = "c202a0f03accb0011f46641173b69ae7d6b1bd05a9595ad2f77e465b3902fea7"
+
+
+@pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 1 << 6], ids=["default", "64"])
+def test_generated_chains_are_pinned(monkeypatch, fold_cells):
+    # At 64 cells per block, chains from n = 6 up close one row at a time,
+    # and longer chains below that in several blocks.
+    monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
+    digest = hashlib.sha256()
+    for n in range(13):
+        for k in (1, 2, 6, 9):
+            for seed in (0, 1, 2, 17, 2**40 + 3, 2**64 - 1):
+                p = random_pspace(n, k, seed)
+                chain = decompose(p)
+                back = reconstruct(chain)
+                digest.update(repr((p.table, chain.levels, [sorted(t) for t in chain.topologies],
+                                    chain.base, back.table)).encode())
+    assert digest.hexdigest() == CHAIN_GRID_SHA256

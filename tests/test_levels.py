@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from ptop import (
@@ -248,3 +252,84 @@ def test_chain_members_are_checked_in_order():
         except PtopError as exc:
             got = (type(exc).__name__, getattr(exc, "defect", None))
         assert got == expected
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "n, table, message",
+    [
+        (2, (1.0, NAN, 0.5, 1.0), "threshold nan not in [0, 1]"),
+        (2, (NAN, 0.5, 0.25, 1.0), "threshold nan not in [0, 1]"),
+        (2, (1.0, -0.5, 0.5, 1.0), "threshold -0.5 not in [0, 1]"),
+        (2, (1.0, -0.25, -0.5, 1.0), "threshold -0.5 not in [0, 1]"),
+        (2, (1.0, 1.5, -0.0, 1.0), "threshold 1.5 not in [0, 1]"),
+        (2, (1.0, 2.0, 1.5, 1.0), "threshold 1.5 not in [0, 1]"),
+        (2, (1.0, float("inf"), 0.5, 1.0), "threshold inf not in [0, 1]"),
+        # NaN sorts last, so another bad value is named whatever the table order
+        (2, (1.0, NAN, -0.5, 1.0), "threshold -0.5 not in [0, 1]"),
+        (2, (NAN, 1.5, NAN, 1.0), "threshold 1.5 not in [0, 1]"),
+        (2, (1.0, float("inf"), NAN, 1.0), "threshold inf not in [0, 1]"),
+    ],
+)
+def test_decompose_of_an_unchecked_space_out_of_range_names_its_first_level(n, table, message):
+    # The cuts come from one comparison, but a value outside [0, 1] must still
+    # raise, naming the first offending level in ascending order.
+    with pytest.raises(ProbabilityOutOfRange) as err:
+        decompose(PSpace(n, table))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, table, defect",
+    [
+        (3, (1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0), ("union", 1, 2)),
+        (3, (1.0, 0.5, 0.5, 0.25, 0.75, 0.0, 0.0, 1.0), ("union", 1, 4)),
+        (3, (1.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 1.0), ("intersection", 3, 5)),
+        (2, (0.5, 0.0, 0.0, 1.0), ("missing-empty",)),
+        (2, (1.0, 0.0, 0.0, 0.0), ("missing-full",)),
+    ],
+)
+def test_reconstruct_of_a_decomposed_invalid_space_names_its_defect(n, table, defect):
+    # decompose keeps its cut tables; reconstruct must still close them and
+    # name the first cut that is no topology.
+    with pytest.raises(NotATopology) as err:
+        reconstruct(decompose(PSpace(n, table)))
+    assert err.value.defect == defect
+    assert str(err.value) == "chain member is not a topology: " + " ".join(map(str, defect))
+
+
+def _hand_built(chain):
+    return LevelChain(chain.n, chain.levels, chain.topologies, chain.base)
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (3, 2), (6, 6), (9, 9)])
+def test_hand_built_and_decomposed_chains_reconstruct_alike(n, k):
+    for seed in range(20):
+        chain = decompose(random_pspace(n, k, seed))
+        rows = np.array([[a in topo for a in range(1 << n)] for topo in chain.topologies])
+        assert np.array_equal(chain._tables, rows)
+        fast, slow = reconstruct(chain), reconstruct(_hand_built(chain))
+        assert fast == slow
+        assert [repr(v) for v in fast.table] == [repr(v) for v in slow.table]
+        assert fast._array().tobytes() == slow._array().tobytes()
+
+
+def test_kept_tables_are_read_only_and_invisible():
+    chain = decompose(random_pspace(4, 3, 7))
+    twin = _hand_built(chain)
+    assert not hasattr(twin, "_tables")
+    assert chain == twin and hash(chain) == hash(twin) and repr(chain) == repr(twin)
+    assert list(vars(chain)) == ["n", "levels", "topologies", "base"]
+    assert not chain._tables.flags.writeable
+    with pytest.raises(ValueError):
+        chain._tables[0, 0] = False
+    for clone in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy, dataclasses.replace):
+        back = clone(chain)
+        assert back == chain and not hasattr(back, "_tables")
+        assert reconstruct(back) == reconstruct(chain)
+    # replace must not carry the old tables over to new members
+    lower = dataclasses.replace(chain, topologies=(chain.topologies[-1],) * len(chain.levels), base=0.0)
+    assert not hasattr(lower, "_tables")
+    assert reconstruct(lower) != reconstruct(chain)

@@ -98,3 +98,18 @@ def test_only_core_turns_a_table_into_an_array():
             if any(isinstance(a, ast.Attribute) and a.attr == "table" for a in args):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_spaces_are_made_by_one_constructor():
+    # Every PSpace the library hands out is valid by construction and is made
+    # by core._pspace, which converts the result once and calls no PSpace(...):
+    # that call would convert the table a second time in __post_init__.
+    offenders = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "PSpace"
+        ]
+    assert offenders == []
