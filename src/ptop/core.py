@@ -51,6 +51,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 import gc
+import operator
 from typing import Iterable, Literal
 
 import numpy as np
@@ -490,15 +491,14 @@ def _family_mask(n: int, members) -> np.ndarray:
     """
     member = np.zeros(1 << n, dtype=bool)
     if members:
-        if not set(map(type, members)) <= {int}:  # plain ints skip the per-member call
-            members = [_index(m, "mask") for m in members]
         try:
-            masks = np.fromiter(members, dtype=np.int64, count=len(members))
-            least, greatest = masks.min(), masks.max()
-        except OverflowError:  # a member beyond int64, so out of range below
-            least, greatest = min(members), max(members)
-        check_mask(int(least), n)
-        check_mask(int(greatest), n)
+            masks = np.fromiter(map(operator.index, members), dtype=np.int64, count=len(members))
+            least, greatest = int(masks.min()), int(masks.max())
+        except (TypeError, OverflowError):  # a member no integer, or beyond int64
+            masks = [_index(m, "mask") for m in members]  # names the first non-integer
+            least, greatest = min(masks), max(masks)  # beyond int64 is out of range
+        check_mask(least, n)
+        check_mask(greatest, n)
         member[masks] = True
     return member
 

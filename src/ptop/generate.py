@@ -9,8 +9,8 @@ tables on every platform.  :func:`random_pspace` keeps the chain as
 boolean tables throughout: the subbases are marked in the rows of a stack
 and closed together (one pass, or blocks of at most 2^20 cells at large
 n), each closure is ANDed into the running intersection, and the table is
-filled from it as :func:`~ptop.levels.reconstruct` fills it, with no
-frozenset built and no member closed twice.
+filled from it by the same helper as :func:`~ptop.levels.reconstruct`,
+with no frozenset built and no member closed twice.
 
 Determinism contract, pinned so seeds can be shared across tools:
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import PSpace, _closure, _family_mask, _pspace, _row_blocks
 from .errors import InvalidArgument
+from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .levels import reconstruct  # noqa: F401
 from .masks import check_ground_size
@@ -79,11 +80,31 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
     return frozenset(np.nonzero(_closure(n, _family_mask(n, list(seeds))))[0].tolist())
 
 
+def _subbasis(n: int, rng: SplitMix64) -> list[int]:
+    """Draw a subbasis: its size in [0, n+1], then that many masks, each one ``below``."""
+    return [rng.below(1 << n) for _ in range(rng.below(n + 2))]
+
+
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
     """Closure of a random subbasis of up to n+1 subsets."""
-    count = rng.below(n + 2)
-    seeds = [rng.below(1 << n) for _ in range(count)]
-    return topology_closure(n, seeds)
+    return topology_closure(n, _subbasis(n, rng))
+
+
+def _chain(n: int, subbases: list[list[int]]):
+    """Yield the running intersections of the subbases' closures, in order.
+
+    The subbases are marked in the rows of a stack and closed together, a
+    block of rows at a time (see :func:`~ptop.core._row_blocks`); one
+    boolean table is yielded per subbasis, updated in place.
+    """
+    opens = np.ones(1 << n, dtype=bool)
+    for block in _row_blocks(n, len(subbases)):
+        seeds = np.zeros((len(subbases[block]), 1 << n), dtype=bool)
+        for row, masks in zip(seeds, subbases[block]):
+            row[masks] = True
+        for closed in _closure(n, seeds):
+            opens &= closed
+            yield opens
 
 
 def random_pspace(n: int, k: int, seed: int) -> PSpace:
@@ -95,7 +116,7 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     if k < 1:
         raise InvalidArgument(f"level count must be at least 1, got {k}")
     rng = SplitMix64(seed)
-    subbases = [[rng.below(1 << n) for _ in range(rng.below(n + 2))] for _ in range(k)]
+    subbases = [_subbasis(n, rng) for _ in range(k)]
     interior: set[float] = set()
     while len(interior) < k - 1:
         u = rng.unit()
@@ -107,14 +128,5 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     if base >= levels[0]:  # guard the rounding edge of the scaling
         base = 0.0
     # When the first topology is the whole powerset, every entry is
-    # overwritten below and the base goes unused.
-    table = np.full(1 << n, base)
-    opens = np.ones(1 << n, dtype=bool)
-    for block in _row_blocks(n, k):
-        seeds = np.zeros((len(subbases[block]), 1 << n), dtype=bool)
-        for row, masks in zip(seeds, subbases[block]):
-            row[masks] = True
-        for q, closed in zip(levels[block], _closure(n, seeds)):
-            opens &= closed  # the chain's next member
-            table[opens] = q  # levels rise, so the highest level holding A wins
-    return _pspace(n, table)
+    # overwritten by a level and the base goes unused.
+    return _pspace(n, _level_table(n, levels, _chain(n, subbases), base))

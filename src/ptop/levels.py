@@ -40,16 +40,7 @@ class LevelChain:
     ``levels[-1]`` is always 1.  ``base`` is the value for subsets in no
     listed topology; it is None exactly when the first topology is the
     whole powerset, and otherwise satisfies 0 <= base < levels[0].
-
-    A chain made by :func:`decompose` also keeps its members as a
-    read-only stack of boolean tables, one row of 2^n cells per member, in
-    a slot outside ``vars()``; :meth:`validate` and :func:`reconstruct`
-    read it instead of converting the frozensets back.  Equality, hashing,
-    repr and ``dataclasses.replace`` see the fields only, and pickling and
-    copying rebuild from them.
     """
-
-    __slots__ = ("__dict__", "__weakref__", "_tables")
 
     n: int
     levels: tuple[float, ...]
@@ -68,13 +59,9 @@ class LevelChain:
         nesting.  Only a chain that fails there goes through its members one
         at a time, so that the first failing member is the one named, with
         its defect from the O(n 2^n) count of
-        :func:`~ptop.core.topology_defect`.  A chain made by
-        :func:`decompose` skips the conversion to tables, not the checks.
+        :func:`~ptop.core.topology_defect`.
         """
         self._member_tables()
-
-    def __reduce__(self):
-        return type(self), (self.n, self.levels, self.topologies, self.base)
 
     def _member_tables(self) -> np.ndarray:
         """Validate the chain and return its members as stacked boolean tables."""
@@ -89,18 +76,18 @@ class LevelChain:
                 raise InvalidArgument("levels must be strictly increasing")
         if self.levels[-1] != 1.0:
             raise InvalidArgument("the last level must be 1")
-        tables = getattr(self, "_tables", None)
+        tables = np.empty((len(self.topologies), 1 << self.n), dtype=bool)
         try:
-            if tables is None:
-                tables = np.stack([_family_mask(self.n, topo) for topo in self.topologies])
-            closed = _all_closed(self.n, tables)
+            for row, topo in zip(tables, self.topologies):
+                row[:] = _family_mask(self.n, topo)
         except (PtopError, TypeError):
             closed = False
+        else:
+            closed = _all_closed(self.n, tables)
         if not closed:
             # Some member fails: check them in order, naming the first one.
-            tables = np.stack(
-                [_topology_table(self.n, topo, "chain member is not a topology") for topo in self.topologies]
-            )
+            for row, topo in zip(tables, self.topologies):
+                row[:] = _topology_table(self.n, topo, "chain member is not a topology")
         if (tables[1:] & ~tables[:-1]).any():
             raise ChainNotNested("each topology must contain the next one")
         if self.base is not None and not 0.0 <= self.base < self.levels[0]:
@@ -131,25 +118,18 @@ def decompose(p: PSpace) -> LevelChain:
     it marks exactly the subsets in no cut other than the trivial one.
     Round trip is exact: ``reconstruct(decompose(p))`` equals ``p``.
 
-    The k cuts come from one comparison of the table with the levels, a
-    k x 2^n boolean stack that the chain keeps (see :class:`LevelChain`);
-    the frozensets are read off its rows.  A value outside [0, 1], NaN
-    included, raises :class:`ProbabilityOutOfRange`, naming the first
-    such level in ascending order, NaN last.
+    The levels come from one sorted copy of the table, and each cut is
+    then one :func:`level_cut`, so one 2^n boolean row is held at a time
+    beside the frozensets.  A value outside [0, 1], NaN included, raises
+    :class:`ProbabilityOutOfRange`, naming the first such level in
+    ascending order, NaN last.
     """
-    t = p._array()
-    values = np.sort(t)  # np.unique would import numpy.ma on its first call
+    values = np.sort(p._array())  # np.unique would import numpy.ma on its first call
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
-    levels = values[first & (values != 0.0)]
-    for q in levels.tolist():
-        check_probability(q, "threshold")
-    tables = t >= levels[:, None]
-    tables.flags.writeable = False
-    topologies = tuple(frozenset(np.flatnonzero(row).tolist()) for row in tables)
-    chain = LevelChain(p.n, tuple(levels.tolist()), topologies, 0.0 if values[0] == 0.0 else None)
-    object.__setattr__(chain, "_tables", tables)
-    return chain
+    levels = tuple(values[first & (values != 0.0)].tolist())
+    base = 0.0 if values[0] == 0.0 else None
+    return LevelChain(p.n, levels, tuple(level_cut(p, q) for q in levels), base)
 
 
 def reconstruct(chain: LevelChain) -> PSpace:
@@ -162,16 +142,25 @@ def reconstruct(chain: LevelChain) -> PSpace:
     being 1 gives the boundary axiom.
 
     Validation (see :meth:`LevelChain.validate`) dominates the cost,
-    O(k 2^n) for k members, plus the conversion of the frozensets to
-    tables for a chain not made by :func:`decompose`.  The table is then
-    filled in one numpy assignment per level, bit-exactly (a -0.0 level or
-    base stays -0.0), and converted to the space's tuple once.
+    O(k 2^n) for k members.  The table is then filled by
+    :func:`_level_table` and converted to the space's tuple once.
     """
     tables = chain._member_tables()
     if chain.base is None and not tables[0].all():
         uncovered = int(np.argmin(tables[0]))  # nesting makes tables[0] the union
         raise MissingBase(f"subset {uncovered} is in no topology and no base is set")
-    table = np.full(1 << chain.n, 0.0 if chain.base is None else chain.base, dtype=np.float64)
-    for q, member in zip(chain.levels, tables):
-        table[member] = q  # levels rise, so the highest level holding A wins
-    return _pspace(chain.n, table)
+    base = 0.0 if chain.base is None else chain.base
+    return _pspace(chain.n, _level_table(chain.n, chain.levels, tables, base))
+
+
+def _level_table(n: int, levels, members, base: float) -> np.ndarray:
+    """The float64 table of a nested chain: ``base``, overwritten by each level on its member.
+
+    ``members`` yields one boolean table per level, in the levels' rising
+    order, so the highest level holding A is the one left at A.  One numpy
+    assignment per level, bit-exact (a -0.0 level or base stays -0.0).
+    """
+    table = np.full(1 << n, base, dtype=np.float64)
+    for q, member in zip(levels, members):
+        table[member] = q
+    return table

@@ -1,13 +1,9 @@
-import copy
-import dataclasses
-import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import numpy as np
 import pytest
 
 from ptop import (
@@ -292,44 +288,10 @@ def test_decompose_of_an_unchecked_space_out_of_range_names_its_first_level(n, t
     ],
 )
 def test_reconstruct_of_a_decomposed_invalid_space_names_its_defect(n, table, defect):
-    # decompose keeps its cut tables; reconstruct must still close them and
-    # name the first cut that is no topology.
+    # reconstruct closes all cuts in one pass; it must still name the first
+    # cut that is no topology.
     with pytest.raises(NotATopology) as err:
         reconstruct(decompose(PSpace(n, table)))
     assert err.value.defect == defect
     assert str(err.value) == "chain member is not a topology: " + " ".join(map(str, defect))
 
-
-def _hand_built(chain):
-    return LevelChain(chain.n, chain.levels, chain.topologies, chain.base)
-
-
-@pytest.mark.parametrize("n, k", [(0, 1), (3, 2), (6, 6), (9, 9)])
-def test_hand_built_and_decomposed_chains_reconstruct_alike(n, k):
-    for seed in range(20):
-        chain = decompose(random_pspace(n, k, seed))
-        rows = np.array([[a in topo for a in range(1 << n)] for topo in chain.topologies])
-        assert np.array_equal(chain._tables, rows)
-        fast, slow = reconstruct(chain), reconstruct(_hand_built(chain))
-        assert fast == slow
-        assert [repr(v) for v in fast.table] == [repr(v) for v in slow.table]
-        assert fast._array().tobytes() == slow._array().tobytes()
-
-
-def test_kept_tables_are_read_only_and_invisible():
-    chain = decompose(random_pspace(4, 3, 7))
-    twin = _hand_built(chain)
-    assert not hasattr(twin, "_tables")
-    assert chain == twin and hash(chain) == hash(twin) and repr(chain) == repr(twin)
-    assert list(vars(chain)) == ["n", "levels", "topologies", "base"]
-    assert not chain._tables.flags.writeable
-    with pytest.raises(ValueError):
-        chain._tables[0, 0] = False
-    for clone in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy, dataclasses.replace):
-        back = clone(chain)
-        assert back == chain and not hasattr(back, "_tables")
-        assert reconstruct(back) == reconstruct(chain)
-    # replace must not carry the old tables over to new members
-    lower = dataclasses.replace(chain, topologies=(chain.topologies[-1],) * len(chain.levels), base=0.0)
-    assert not hasattr(lower, "_tables")
-    assert reconstruct(lower) != reconstruct(chain)
