@@ -64,7 +64,7 @@ from .errors import (
     NotATopology,
     ProbabilityOutOfRange,
 )
-from .masks import _check_real, _index, bits, check_ground_size, check_mask
+from .masks import _check_real, _collection, _index, bits, check_ground_size, check_mask
 
 # Documented caps: listing the violations of an invalid table with C candidate
 # masks is O(|C|^2), capped at |C| <= 2^PAIRWISE_CAP (the pair cells of a full
@@ -75,8 +75,10 @@ EXHAUSTIVE_CAP = 4
 
 # Cells per chunk when materialising pair grids; bounds peak memory.
 _CHUNK_CELLS = 1 << 22
-# Cells per block of per-point tables in the separation and reconstruction
-# folds: small tables fold all points at once, an N_MAX table one at a time.
+# Cells per block of stacked tables of 2^n cells (see _blocks): the per-point
+# tables of the separation and reconstruction folds, and the level-chain and
+# subbasis rows that close together.  Small tables go all at once, an N_MAX
+# table one at a time.
 _FOLD_CELLS = 1 << 20
 
 
@@ -203,7 +205,11 @@ def build(n: int, entries: Iterable[tuple[int, float]]) -> WeightTable:
     table[0] = 1.0
     table[size - 1] = 1.0
     seen = set()
-    for mask, value in entries:
+    for entry in _collection(entries, "entries"):
+        try:
+            mask, value = entry
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"entry must be a (mask, value) pair, got {entry!r}") from None
         check_mask(mask, n)
         if mask in seen:
             raise DuplicateMask(f"mask {mask} listed twice")
@@ -237,10 +243,10 @@ def _out_of_range(t: np.ndarray) -> np.ndarray:
     return np.nonzero(~((t >= 0.0) & (t <= 1.0)))[0]
 
 
-def _point_blocks(n: int) -> list[range]:
-    """Consecutive ranges of points whose per-point tables, 2^n cells each, fold together."""
-    rows = max(1, _FOLD_CELLS >> n)
-    return [range(x, min(n, x + rows)) for x in range(0, n, rows)]
+def _blocks(n: int, rows: int) -> list[slice]:
+    """Consecutive slices of ``rows`` stacked tables of 2^n cells, at most _FOLD_CELLS cells or one row each."""
+    step = max(1, _FOLD_CELLS >> n)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _separation(t: np.ndarray, n: int) -> np.ndarray:
@@ -253,7 +259,8 @@ def _separation(t: np.ndarray, n: int) -> np.ndarray:
     fold together, one row of stacked halves each.
     """
     sep = np.zeros((n, n))
-    for xs in _point_blocks(n):
+    for block in _blocks(n, n):
+        xs = range(n)[block]
         half = np.empty((len(xs), t.size >> 1))
         for row, x in zip(half, xs):
             row.reshape(-1, 1 << x)[:] = t.reshape(-1, 2, 1 << x)[:, 1]
@@ -275,7 +282,8 @@ def _recon(sep: np.ndarray, n: int) -> np.ndarray:
     The points of a block double together.
     """
     out = np.full(1 << n, np.inf)
-    for xs in _point_blocks(n):
+    for block in _blocks(n, n):
+        xs = range(n)[block]
         cols = sep[xs].T[..., None]
         for row, x in zip(_subset_fold(cols, np.minimum, np.inf, (len(xs),))[:, ::-1], xs):
             half = out.reshape(-1, 2, 1 << x)[:, 1]
@@ -484,13 +492,14 @@ def as_pspace(w: WeightTable) -> PSpace:
 def _family_mask(n: int, members) -> np.ndarray:
     """The boolean table over the 2^n subsets that marks ``members``.
 
-    ``members`` is a sized collection of masks.  A member that is no
-    integer raises :class:`InvalidArgument` (bools and numpy integers
-    pass); then :class:`MaskOutOfRange` is raised on any mask outside
-    [0, 2^n), checked on the least and then the greatest member.
+    ``members`` is an iterable of masks.  Anything else, or a member that
+    is no integer, raises :class:`InvalidArgument` (bools and numpy
+    integers pass); then :class:`MaskOutOfRange` is raised on any mask
+    outside [0, 2^n), checked on the least and then the greatest member.
     """
+    members = _collection(members, "mask family")
     member = np.zeros(1 << n, dtype=bool)
-    if members:
+    if len(members):
         try:
             masks = np.fromiter(map(operator.index, members), dtype=np.int64, count=len(members))
             least, greatest = int(masks.min()), int(masks.max())
@@ -535,21 +544,6 @@ def _closure(n: int, member: np.ndarray) -> np.ndarray:
         nbhd[x] = np.bitwise_and.reduce(table[..., 1 << x :], axis=-1, keepdims=True)
         table = table[..., : 1 << x] & table[..., 1 << x :]
     return _hull(nbhd, member.shape[:-1]) == np.arange(1 << n)
-
-
-def _row_blocks(n: int, rows: int) -> list[slice]:
-    """Consecutive slices of ``rows`` stacked tables of 2^n cells, at most _FOLD_CELLS cells each.
-
-    Stacked tables close together in these blocks, so an N_MAX table still
-    takes one row at a time.
-    """
-    step = max(1, _FOLD_CELLS >> n)
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-def _all_closed(n: int, members: np.ndarray) -> bool:
-    """True when every row of ``members``, one boolean table each, marks a topology."""
-    return all(np.array_equal(members[b], _closure(n, members[b])) for b in _row_blocks(n, len(members)))
 
 
 def _bad_partners(n: int, member: np.ndarray) -> np.ndarray:
@@ -613,16 +607,22 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     and again for intersections: the first member with a bad partner is the
     first row of the lexicographic order that holds an escaping pair.
     """
-    return _mask_defect(n, _family_mask(n, set(opens)))
+    check_ground_size(n)
+    return _mask_defect(n, _family_mask(n, opens))
 
 
-def _topology_table(n: int, opens, prefix: str) -> np.ndarray:
-    """The boolean table of ``opens``; :class:`NotATopology`, led by ``prefix``, if no topology."""
-    member = _family_mask(n, opens)
-    defect = _mask_defect(n, member)
-    if defect is not None:
-        raise NotATopology(f"{prefix}: {' '.join(map(str, defect))}", defect)
-    return member
+def _check_topologies(n: int, members: np.ndarray, prefix: str) -> None:
+    """Raise :class:`NotATopology`, led by ``prefix``, on the first row of ``members`` that is no topology.
+
+    The boolean rows close a block at a time (:func:`_blocks`), O(2^n) per
+    row; only the first row that differs from its closure names its defect.
+    """
+    for block in _blocks(n, len(members)):
+        rows = members[block]
+        bad = (rows != _closure(n, rows)).any(axis=1)
+        if bad.any():
+            defect = _mask_defect(n, rows[int(np.argmax(bad))])
+            raise NotATopology(f"{prefix}: {' '.join(map(str, defect))}", defect)
 
 
 def from_topology(n: int, opens: Iterable[int]) -> PSpace:
@@ -632,5 +632,6 @@ def from_topology(n: int, opens: Iterable[int]) -> PSpace:
     coincides with classical continuity.
     """
     check_ground_size(n)
-    member = _topology_table(n, set(opens), "not a topology")
+    member = _family_mask(n, opens)
+    _check_topologies(n, member[None], "not a topology")
     return _pspace(n, member.astype(np.float64))

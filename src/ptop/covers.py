@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import PSpace
 from .errors import DimensionMismatch, DuplicateMask, NotACover
-from .masks import _check_real, _index, bits, check_ground_size, check_mask, full_mask
+from .masks import _check_real, _collection, _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class Cover:
 
     def __post_init__(self):
         check_ground_size(self.n)
-        object.__setattr__(self, "members", tuple(_index(m, "cover member") for m in self.members))
+        members = _collection(self.members, "cover members")
+        object.__setattr__(self, "members", tuple(_index(m, "cover member") for m in members))
         seen = set()
         for m in self.members:
             check_mask(m, self.n)

@@ -30,13 +30,16 @@ from __future__ import annotations
 from .core import WeightTable, build
 from .errors import InvalidArgument, ParseError, UnsupportedVersion
 from .maps import PointMap
+from .masks import _check_real
 
 PTOP_VERSION = "1"
 PMAP_VERSION = "1"
 
 
 def format_probability(v: float) -> str:
-    """Shortest decimal text that parses back to exactly ``v``."""
+    """Shortest decimal text that parses back to exactly ``v``, a real number."""
+    if type(v) is not float:  # serialize_pspace formats every entry: plain floats skip the call
+        _check_real(v, "probability")
     s = repr(float(v))
     return s[:-2] if s.endswith(".0") else s
 

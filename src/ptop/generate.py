@@ -7,14 +7,17 @@ ending at 1, and rebuild the table from the chain.  Every output passes
 the verifiers, and identical (n, k, seed) triples give bit-identical
 tables on every platform.  :func:`random_pspace` keeps the chain as
 boolean tables throughout: the subbases are marked in the rows of a stack
-and closed together (one pass, or blocks of at most 2^20 cells at large
-n), each closure is ANDed into the running intersection, and the table is
-filled from it by the same helper as :func:`~ptop.levels.reconstruct`,
-with no frozenset built and no member closed twice.
+and closed together, a block of rows at a time under the block rule that
+also serves the level-chain check (:func:`~ptop.core._blocks`: at most
+2^20 cells or one row per block), each closure is ANDed into the running
+intersection, and the table is filled from it by the same helper as
+:func:`~ptop.levels.reconstruct`, with no frozenset built and no member
+closed twice.
 
 Determinism contract, pinned so seeds can be shared across tools:
 
-* Generator: SplitMix64. State advances by 0x9E3779B97F4A7C15 modulo 2^64;
+* Generator: SplitMix64, seeded with any integer (numpy integers pass)
+  taken modulo 2^64. State advances by 0x9E3779B97F4A7C15 modulo 2^64;
   output mixes the state with xor-shifts 30/27/31 and multipliers
   0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.
 * ``below(k)`` reduces the next 64-bit output modulo k.
@@ -31,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _closure, _family_mask, _pspace, _row_blocks
+from .core import PSpace, _blocks, _closure, _family_mask, _pspace
 from .errors import InvalidArgument
 from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .levels import reconstruct  # noqa: F401
-from .masks import check_ground_size
+from .masks import _index, check_ground_size
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,7 +54,7 @@ class SplitMix64:
     state: int
 
     def __post_init__(self):
-        self.state &= _MASK64
+        self.state = _index(self.state, "seed") & _MASK64
 
     def next64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
@@ -77,7 +80,8 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
     containing x.  O(2^n) after marking the seeds, through
     :func:`~ptop.core._closure`.
     """
-    return frozenset(np.nonzero(_closure(n, _family_mask(n, list(seeds))))[0].tolist())
+    check_ground_size(n)
+    return frozenset(np.nonzero(_closure(n, _family_mask(n, seeds)))[0].tolist())
 
 
 def _subbasis(n: int, rng: SplitMix64) -> list[int]:
@@ -87,6 +91,7 @@ def _subbasis(n: int, rng: SplitMix64) -> list[int]:
 
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
     """Closure of a random subbasis of up to n+1 subsets."""
+    check_ground_size(n)
     return topology_closure(n, _subbasis(n, rng))
 
 
@@ -94,11 +99,12 @@ def _chain(n: int, subbases: list[list[int]]):
     """Yield the running intersections of the subbases' closures, in order.
 
     The subbases are marked in the rows of a stack and closed together, a
-    block of rows at a time (see :func:`~ptop.core._row_blocks`); one
-    boolean table is yielded per subbasis, updated in place.
+    block of rows at a time (:func:`~ptop.core._blocks`), so that only one
+    block's stack is held; one boolean table is yielded per subbasis,
+    updated in place.
     """
     opens = np.ones(1 << n, dtype=bool)
-    for block in _row_blocks(n, len(subbases)):
+    for block in _blocks(n, len(subbases)):
         seeds = np.zeros((len(subbases[block]), 1 << n), dtype=bool)
         for row, masks in zip(seeds, subbases[block]):
             row[masks] = True
@@ -113,7 +119,7 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     Deterministic per (n, k, seed); every output passes the verifiers.
     """
     check_ground_size(n)
-    if k < 1:
+    if _index(k, "level count") < 1:
         raise InvalidArgument(f"level count must be at least 1, got {k}")
     rng = SplitMix64(seed)
     subbases = [_subbasis(n, rng) for _ in range(k)]

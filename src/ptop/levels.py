@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _all_closed, _family_mask, _pspace, _topology_table, prob
+from .core import PSpace, _check_topologies, _family_mask, _pspace, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     ProbabilityOutOfRange,
     PtopError,
 )
-from .masks import check_ground_size, check_mask, check_probability
+from .masks import _check_real, _collection, check_ground_size, check_mask, check_probability
 
 
 @dataclass(frozen=True)
@@ -50,50 +50,50 @@ class LevelChain:
     def validate(self) -> None:
         """Raise unless the chain is well formed.
 
-        Checks, in this order: the levels, then each member's mask range
-        and closedness (:class:`MaskOutOfRange`, :class:`NotATopology`),
-        then nesting (:class:`ChainNotNested`), then the base.  Each member
-        becomes one boolean table over the 2^n subsets, stacked in rows; one
-        closure of the stack decides every member's closedness in O(k 2^n)
-        for k members, and one comparison of neighbouring rows decides
-        nesting.  Only a chain that fails there goes through its members one
-        at a time, so that the first failing member is the one named, with
-        its defect from the O(n 2^n) count of
-        :func:`~ptop.core.topology_defect`.
+        Checks, in this order: the levels, then each member's masks and
+        closedness (:class:`InvalidArgument`, :class:`MaskOutOfRange`,
+        :class:`NotATopology`), then nesting (:class:`ChainNotNested`), then
+        the base.  The error is that of checking the members one at a time,
+        first member first.  Each member becomes one boolean table over the
+        2^n subsets, stacked in rows, until the first member that fails to
+        build.  The rows built close a block at a time, in O(k 2^n) for k
+        members, and the first one that is no topology is named, with its
+        defect from the O(n 2^n) count of :func:`~ptop.core.topology_defect`;
+        only when none is does the build error go on.  One comparison of
+        neighbouring rows then decides nesting.
         """
         self._member_tables()
 
     def _member_tables(self) -> np.ndarray:
         """Validate the chain and return its members as stacked boolean tables."""
         check_ground_size(self.n)
-        if not self.levels:
+        levels = tuple(_collection(self.levels, "levels"))  # indexed below, which a set is not
+        topologies = _collection(self.topologies, "topologies")
+        if not levels:
             raise InvalidArgument("a level chain needs at least one level")
-        if len(self.levels) != len(self.topologies):
+        if len(levels) != len(topologies):
             raise InvalidArgument("levels and topologies differ in length")
-        for i, q in enumerate(self.levels):
+        for i, q in enumerate(levels):
             check_probability(q, "level")
-            if i and not q > self.levels[i - 1]:
+            if i and not q > levels[i - 1]:
                 raise InvalidArgument("levels must be strictly increasing")
-        if self.levels[-1] != 1.0:
+        if levels[-1] != 1.0:
             raise InvalidArgument("the last level must be 1")
-        tables = np.empty((len(self.topologies), 1 << self.n), dtype=bool)
-        try:
-            for row, topo in zip(tables, self.topologies):
-                row[:] = _family_mask(self.n, topo)
-        except (PtopError, TypeError):
-            closed = False
-        else:
-            closed = _all_closed(self.n, tables)
-        if not closed:
-            # Some member fails: check them in order, naming the first one.
-            for row, topo in zip(tables, self.topologies):
-                row[:] = _topology_table(self.n, topo, "chain member is not a topology")
+        prefix = "chain member is not a topology"
+        tables = np.empty((len(topologies), 1 << self.n), dtype=bool)
+        for i, topo in enumerate(topologies):
+            try:
+                tables[i] = _family_mask(self.n, topo)
+            except PtopError:
+                _check_topologies(self.n, tables[:i], prefix)  # an earlier member's defect comes first
+                raise
+        _check_topologies(self.n, tables, prefix)
         if (tables[1:] & ~tables[:-1]).any():
             raise ChainNotNested("each topology must contain the next one")
-        if self.base is not None and not 0.0 <= self.base < self.levels[0]:
-            raise ProbabilityOutOfRange(
-                f"base {self.base!r} must lie in [0, {self.levels[0]!r})"
-            )
+        if self.base is not None:
+            _check_real(self.base, "base")
+            if not 0.0 <= self.base < levels[0]:
+                raise ProbabilityOutOfRange(f"base {self.base!r} must lie in [0, {levels[0]!r})")
         return tables
 
 

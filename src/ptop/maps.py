@@ -18,7 +18,7 @@ from .core import PSpace, _hull, _pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
-from .masks import _index, bits, check_ground_size, check_mask, full_mask
+from .masks import _collection, _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class PointMap:
     def __post_init__(self):
         check_ground_size(self.domain_n)
         check_ground_size(self.codomain_n)
-        object.__setattr__(self, "image", tuple(_index(y, "image") for y in self.image))
+        image = _collection(self.image, "image")
+        object.__setattr__(self, "image", tuple(_index(y, "image") for y in image))
         if len(self.image) != self.domain_n:
             raise InvalidArgument(
                 f"map on {self.domain_n} points needs {self.domain_n} images, "
@@ -46,6 +47,7 @@ class PointMap:
 
 
 def identity_map(n: int) -> PointMap:
+    check_ground_size(n)
     return PointMap(n, n, tuple(range(n)))
 
 
@@ -71,6 +73,7 @@ def compose(f: PointMap, g: PointMap) -> PointMap:
 
 def inclusion_map(y: int, n: int) -> PointMap:
     """The inclusion of the subspace ``y``, points renumbered in mask order."""
+    check_ground_size(n)
     check_mask(y, n)
     return PointMap(y.bit_count(), n, tuple(bits(y)))
 

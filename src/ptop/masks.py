@@ -51,8 +51,23 @@ def _index(value, what: str) -> int:
         raise InvalidArgument(f"{what} must be an integer, got {value!r}") from None
 
 
+def _collection(values, what: str):
+    """``values`` as a sized collection: plain lists, tuples and sets as they are, other iterables as a tuple.
+
+    A ``values`` that is not iterable raises :class:`InvalidArgument`, naming it as ``what``.
+    """
+    if type(values) in (list, tuple, set, frozenset):  # the common types skip the copy
+        return values
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidArgument(f"{what} must be iterable, got {values!r}") from None
+
+
 def check_ground_size(n: int) -> None:
-    if _index(n, "ground size") < 0:
+    if type(n) is not int:  # plain ints skip the call
+        n = _index(n, "ground size")
+    if n < 0:
         raise MaskOutOfRange(f"ground size must be non-negative, got {n}")
     cap = max_ground_size()
     if n > cap:
@@ -89,7 +104,18 @@ def check_probability(q: float, what: str) -> None:
 
 
 def full_mask(n: int) -> int:
+    if type(n) is not int or not 0 <= n <= N_MAX:  # plain ints in range skip the call
+        check_ground_size(n)
     return (1 << n) - 1
+
+
+def _non_negative(mask: int) -> int:
+    """``mask`` as an int, through :func:`_index`; :class:`MaskOutOfRange` when it is negative."""
+    if type(mask) is not int:  # plain ints skip the call
+        mask = _index(mask, "mask")
+    if mask < 0:
+        raise MaskOutOfRange(f"mask {mask} is negative")
+    return mask
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -97,8 +123,7 @@ def bits(mask: int) -> Iterator[int]:
 
     A negative mask has endless set bits, so it raises :class:`MaskOutOfRange`.
     """
-    if mask < 0:
-        raise MaskOutOfRange(f"mask {mask} is negative")
+    mask = _non_negative(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -106,8 +131,11 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask`` exactly once, ending with 0."""
-    sub = mask
+    """Yield every submask of ``mask`` exactly once, ending with 0.
+
+    A negative mask has endless submasks, so it raises :class:`MaskOutOfRange`.
+    """
+    mask = sub = _non_negative(mask)
     while True:
         yield sub
         if sub == 0:
@@ -120,9 +148,10 @@ def is_partition(a: int, b: int, n: int) -> bool:
 
     Either side may be empty; whoever needs non-emptiness checks it separately.
     """
+    full = full_mask(n)
     check_mask(a, n)
     check_mask(b, n)
-    return (a | b) == full_mask(n) and (a & b) == 0
+    return (a | b) == full and (a & b) == 0
 
 
 def compress(a: int, y: int) -> int:

@@ -1,6 +1,11 @@
 """Every public function reports bad arguments with a PtopError."""
 
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
+import subprocess
+import sys
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from ptop import (
     connectivity_threshold,
     decompress,
     disconnection_witness,
+    format_probability,
+    full_mask,
     level_cut,
     parse_mask_token,
     prob,
@@ -26,11 +33,13 @@ from ptop import (
     qcover_witness,
     from_topology,
     random_pspace,
+    submasks,
     subspace_prob,
     topology_closure,
     topology_defect,
 )
 from ptop.fileio import _parse_probability_token
+import ptop
 
 TOPO = frozenset({0, 3})
 W2 = WeightTable(2, (1.0, 0.0, 0.0, 1.0))
@@ -91,6 +100,19 @@ P2 = as_pspace(W2)
         (lambda: build(1, [(1, "x")]), "value for mask 1 must be a real number, got 'x'"),
         (lambda: build(1, [(1, None)]), "value for mask 1 must be a real number, got None"),
         (lambda: build(1, [(1, "0.5")]), "value for mask 1 must be a real number, got '0.5'"),
+        (lambda: topology_defect(2, 5), "mask family must be iterable, got 5"),
+        (lambda: LevelChain(2, (1.0,), (5,), 0.0).validate(), "mask family must be iterable, got 5"),
+        (lambda: LevelChain(2, 5, (TOPO,), 0.0).validate(), "levels must be iterable, got 5"),
+        (lambda: LevelChain(2, (1.0,), (TOPO,), "0").validate(), "base must be a real number, got '0'"),
+        (lambda: Cover(2, 5), "cover members must be iterable, got 5"),
+        (lambda: PointMap(2, 2, 5), "image must be iterable, got 5"),
+        (lambda: build(2, 5), "entries must be iterable, got 5"),
+        (lambda: build(2, [5]), "entry must be a (mask, value) pair, got 5"),
+        (lambda: random_pspace(3, 1.5, 0), "level count must be an integer, got 1.5"),
+        (lambda: random_pspace(3, 1, None), "seed must be an integer, got None"),
+        (lambda: full_mask(1.5), "ground size must be an integer, got 1.5"),
+        (lambda: list(submasks(1.5)), "mask must be an integer, got 1.5"),
+        (lambda: format_probability(None), "probability must be a real number, got None"),
     ],
 )
 def test_argument_errors_are_ptop_errors_and_value_errors(call, message):
@@ -157,3 +179,132 @@ def test_build_takes_real_values_of_any_numeric_type():
         assert build(1, [(1, value)]).table == (1.0, 0.5)
     assert build(1, [(1, True)]).table == (1.0, 1.0)
     assert build(1, [(1, np.int8(0))]).table == (1.0, 0.0)
+
+
+HUGE = 2**70
+# Tried on every numeric parameter; collection parameters also get the int 5.
+HOSTILE = (1.5, "0.5", None, np.zeros((2, 2)), -1, HUGE, float("nan"))
+P3 = as_pspace(build(2, [(1, 0.5), (2, 0.25)]))
+COVER = Cover(2, (1, 2, 3))
+SWAP = PointMap(2, 2, (1, 0))
+CHAIN_ARGS = (2, (0.5, 1.0), (frozenset({0, 1, 3}), frozenset({0, 3})), 0.25)
+
+# One valid call per public callable of ptop.  The sweep replaces one numeric
+# or collection argument at a time.  Objects (spaces, maps, covers, chains,
+# the rng) keep their value: their own constructors are swept.  So does text:
+# the parsers' documents and tokens have their own tests (test_fileio.py),
+# and a report kind is a label that no function reads.
+SWEEP_CALLS = {
+    "CompactnessVerdict": (True, "finite-trivial"),
+    "Cover": (2, (1, 2, 3)),
+    "CoverDefect": ("uncovered-point", 0, None),
+    "FamilyViolation": ("union", (1, 2), 0.5, 0.25),
+    "LevelChain": CHAIN_ARGS,
+    "PSpace": (2, (1.0, 0.5, 0.25, 1.0)),
+    "PointMap": (2, 2, (1, 0)),
+    "SplitMix64": (7,),
+    "ViolationReport": ("union", 1, 2, 0.5, 0.25),
+    "WeightTable": (2, (1.0, 0.5, 0.25, 1.0)),
+    "as_pspace": (W2,),
+    "bits": (5,),
+    "build": (2, [(1, 0.5), (2, 0.25)]),
+    "complete": (W2,),
+    "compose": (SWAP, SWAP),
+    "compress": (1, 3),
+    "connectivity_threshold": (P3,),
+    "continuity_witness": (SWAP, P3, P3),
+    "decompose": (P3,),
+    "decompress": (1, 3),
+    "disconnection_witness": (P3, 0.25),
+    "format_probability": (0.5,),
+    "from_topology": (2, [0, 1, 3]),
+    "full_mask": (2,),
+    "identity_map": (2,),
+    "inclusion_map": (1, 2),
+    "is_partition": (1, 2, 2),
+    "is_pcontinuous": (SWAP, P3, P3),
+    "is_qcompact": (P3, 0.5),
+    "is_qconnected": (P3, 0.5),
+    "is_qcover": (P3, COVER, 0.25),
+    "level_cut": (P3, 0.5),
+    "max_ground_size": (),
+    "min_subcover": (COVER,),
+    "parse_mask_token": ("0b11",),
+    "parse_pmap": ("pmap 1\ndom 1\ncod 1\n0 0\n",),
+    "parse_pspace": ("ptop 1\nn 1\n",),
+    "preimage": (SWAP, 1),
+    "prob": (P3, 1),
+    "q_open": (P3, 1, 0.5),
+    "qcover_witness": (P3, COVER, 0.25),
+    "random_pspace": (3, 2, 7),
+    "random_topology": (3, ptop.SplitMix64(1)),
+    "reconstruct": (LevelChain(*CHAIN_ARGS),),
+    "serialize_pmap": (SWAP,),
+    "serialize_pspace": (P3,),
+    "submasks": (5,),
+    "subspace": (P3, 1),
+    "subspace_prob": (P3, 3, 1),
+    "topology_closure": (3, [1, 6]),
+    "topology_defect": (2, [0, 1, 3]),
+    "verify_exhaustive": (W2,),
+    "verify_pairwise": (W2,),
+}
+
+
+def _settle(result):
+    """Run what a call deferred: a chain's validation, and a generator's first items."""
+    if isinstance(result, LevelChain):
+        result.validate()
+    elif isinstance(result, Iterator):
+        list(islice(result, 1000))
+
+
+def hostile_argument_leaks() -> list[str]:
+    """Each swept call that raised anything but a PtopError, as 'name(args): error'."""
+    leaks = []
+    for name, args in SWEEP_CALLS.items():
+        func = getattr(ptop, name)
+        _settle(func(*args))  # the valid call itself must succeed
+        for i, arg in enumerate(args):
+            if isinstance(arg, (list, tuple, set, frozenset)):
+                values = HOSTILE + (5,)
+            elif isinstance(arg, (int, float)):
+                values = HOSTILE
+            else:
+                continue
+            for value in values:
+                if name == "random_pspace" and i == 1 and value is HUGE:
+                    # 2**70 levels pass every check, then draw subbases until
+                    # memory runs out; there is no cap on the level count.
+                    continue
+                call = args[:i] + (value,) + args[i + 1 :]
+                try:
+                    _settle(func(*call))
+                except PtopError:
+                    pass
+                except Exception as exc:
+                    leaks.append(f"{name}{call!r}: {type(exc).__name__}: {exc}")
+    return leaks
+
+
+def test_hostile_arguments_raise_only_ptop_errors_in_a_child():
+    # Every public callable is swept; a new one needs its valid call above.
+    public = {
+        name
+        for name, obj in vars(ptop).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    }
+    assert public == SWEEP_CALLS.keys()
+    # A child with a timeout turns a hang into a failure instead of a stalled suite.
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(ptop.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
+        "from test_errors import hostile_argument_leaks\n"
+        "print(hostile_argument_leaks())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

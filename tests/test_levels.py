@@ -217,26 +217,43 @@ def test_chain_edge_cases_agree_under_python_O():
     assert done.stdout == repr([chain_outcome(*case) for case, _ in EDGE_CHAINS]) + "\n"
 
 
-def test_chain_members_are_checked_in_order():
-    # Chains of random topologies, some with a mask toggled and some not
-    # nested: the members are decided together, but the error must be that
-    # of checking them one at a time, first member first, then nesting.
+@pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 16], ids=["default", "16"])
+def test_chain_members_are_checked_in_order(monkeypatch, fold_cells):
+    # Chains of random topologies, some with a mask toggled, some not nested
+    # and some holding a member that fails to build (a mask out of range, a
+    # member that is no integer, or no collection at all): the members are
+    # decided together, but the error must be that of checking them one at a
+    # time, first member first, then nesting.  At 16 cells per block, chains
+    # from n = 3 up close in several blocks.
+    monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
     rng = rng_for(1617)
     for _ in range(300):
         n, k = 1 + rng.below(4), 1 + rng.below(4)
-        members = []
+        members, topos = [], []
         for _ in range(k):
             topo = brute_closure(n, [rng.below(1 << n) for _ in range(rng.below(n + 2))])
-            if members and rng.below(2):
-                topo &= members[-1]
+            if topos and rng.below(2):
+                topo &= topos[-1]
             if not rng.below(4):
                 topo ^= {rng.below(1 << n)}
-            members.append(frozenset(topo))
+            topos.append(topo)
+            unbuilt = rng.below(12)
+            members.append(
+                topo | {(1 << n) + rng.below(4)} if unbuilt == 0
+                else topo | {0.5} if unbuilt == 1
+                else 5 if unbuilt == 2
+                else frozenset(topo)
+            )
         expected = None
         for topo in members:
-            defect = brute_topology_defect(n, topo)
-            if defect is not None:
-                expected = ("NotATopology", defect)
+            if topo == 5 or 0.5 in topo:
+                expected = ("InvalidArgument", None)
+            elif max(topo, default=0) >= 1 << n:
+                expected = ("MaskOutOfRange", None)
+            else:
+                defect = brute_topology_defect(n, topo)
+                expected = None if defect is None else ("NotATopology", defect)
+            if expected is not None:
                 break
         else:
             if any(not lower <= higher for higher, lower in zip(members, members[1:])):

@@ -75,11 +75,12 @@ def test_compress_and_decompress_match_a_plain_loop():
 
 
 def test_negative_masks_raise_promptly_in_a_child():
-    # A negative int has endless set bits, so a bit walk over it never ends;
-    # a child with a timeout turns such a hang into a failure.
+    # A negative int has endless set bits and submasks, so a walk over them
+    # never ends; a child with a timeout turns such a hang into a failure.
     code = (
-        "from ptop import MaskOutOfRange, bits, compress, decompress\n"
-        "calls = (lambda: list(bits(-1)), lambda: compress(0, -1), lambda: decompress(0, -6))\n"
+        "from ptop import MaskOutOfRange, bits, compress, decompress, submasks\n"
+        "calls = (lambda: list(bits(-1)), lambda: compress(0, -1), lambda: decompress(0, -6),\n"
+        "         lambda: list(submasks(-3)))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -96,7 +97,7 @@ def test_negative_masks_raise_promptly_in_a_child():
     )
     assert (done.returncode, done.stdout) == (
         0,
-        "mask -1 is negative\nmask -1 is negative\nmask -6 is negative\n",
+        "mask -1 is negative\nmask -1 is negative\nmask -6 is negative\nmask -3 is negative\n",
     )
 
 
