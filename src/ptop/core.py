@@ -496,7 +496,9 @@ def _family_mask(n: int, members) -> np.ndarray:
     is no integer, raises :class:`InvalidArgument` (bools and numpy
     integers pass); then :class:`MaskOutOfRange` is raised on any mask
     outside [0, 2^n), checked on the least and then the greatest member.
+    ``n`` is checked first, before the table of 2^n entries is made.
     """
+    check_ground_size(n)
     members = _collection(members, "mask family")
     member = np.zeros(1 << n, dtype=bool)
     if len(members):
@@ -607,7 +609,6 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     and again for intersections: the first member with a bad partner is the
     first row of the lexicographic order that holds an escaping pair.
     """
-    check_ground_size(n)
     return _mask_defect(n, _family_mask(n, opens))
 
 
@@ -631,7 +632,6 @@ def from_topology(n: int, opens: Iterable[int]) -> PSpace:
     Under this embedding map continuity in the probabilistic sense
     coincides with classical continuity.
     """
-    check_ground_size(n)
     member = _family_mask(n, opens)
     _check_topologies(n, member[None], "not a topology")
     return _pspace(n, member.astype(np.float64))

@@ -80,7 +80,6 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
     containing x.  O(2^n) after marking the seeds, through
     :func:`~ptop.core._closure`.
     """
-    check_ground_size(n)
     return frozenset(np.nonzero(_closure(n, _family_mask(n, seeds)))[0].tolist())
 
 

@@ -64,8 +64,12 @@ class LevelChain:
         """
         self._member_tables()
 
-    def _member_tables(self) -> np.ndarray:
-        """Validate the chain and return its members as stacked boolean tables."""
+    def _member_tables(self) -> tuple[tuple, np.ndarray]:
+        """Validate the chain; return the levels checked and the members as stacked boolean tables.
+
+        The levels are returned as the tuple that was checked, so a
+        one-shot iterable is read once.
+        """
         check_ground_size(self.n)
         levels = tuple(_collection(self.levels, "levels"))  # indexed below, which a set is not
         topologies = _collection(self.topologies, "topologies")
@@ -81,20 +85,23 @@ class LevelChain:
             raise InvalidArgument("the last level must be 1")
         prefix = "chain member is not a topology"
         tables = np.empty((len(topologies), 1 << self.n), dtype=bool)
-        for i, topo in enumerate(topologies):
+        built = 0
+        for topo in topologies:
             try:
-                tables[i] = _family_mask(self.n, topo)
+                tables[built] = _family_mask(self.n, topo)
             except PtopError:
-                _check_topologies(self.n, tables[:i], prefix)  # an earlier member's defect comes first
-                raise
-        _check_topologies(self.n, tables, prefix)
+                break
+            built += 1
+        _check_topologies(self.n, tables[:built], prefix)  # an earlier member's defect comes first
+        if built < len(topologies):
+            _family_mask(self.n, topo)  # the member that failed: its build error again, outside the handler
         if (tables[1:] & ~tables[:-1]).any():
             raise ChainNotNested("each topology must contain the next one")
         if self.base is not None:
             _check_real(self.base, "base")
             if not 0.0 <= self.base < levels[0]:
                 raise ProbabilityOutOfRange(f"base {self.base!r} must lie in [0, {levels[0]!r})")
-        return tables
+        return levels, tables
 
 
 def level_cut(p: PSpace, q: float) -> frozenset[int]:
@@ -145,12 +152,12 @@ def reconstruct(chain: LevelChain) -> PSpace:
     O(k 2^n) for k members.  The table is then filled by
     :func:`_level_table` and converted to the space's tuple once.
     """
-    tables = chain._member_tables()
+    levels, tables = chain._member_tables()
     if chain.base is None and not tables[0].all():
         uncovered = int(np.argmin(tables[0]))  # nesting makes tables[0] the union
         raise MissingBase(f"subset {uncovered} is in no topology and no base is set")
     base = 0.0 if chain.base is None else chain.base
-    return _pspace(chain.n, _level_table(chain.n, chain.levels, tables, base))
+    return _pspace(chain.n, _level_table(chain.n, levels, tables, base))
 
 
 def _level_table(n: int, levels, members, base: float) -> np.ndarray:

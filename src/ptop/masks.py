@@ -104,8 +104,7 @@ def check_probability(q: float, what: str) -> None:
 
 
 def full_mask(n: int) -> int:
-    if type(n) is not int or not 0 <= n <= N_MAX:  # plain ints in range skip the call
-        check_ground_size(n)
+    check_ground_size(n)
     return (1 << n) - 1
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from ptop import (
     ChainNotNested,
+    InvalidArgument,
     LevelChain,
     MaskOutOfRange,
     MissingBase,
@@ -83,6 +84,25 @@ def test_reconstruct_examples():
     assert indiscrete.table == (1.0,) + (0.0,) * 6 + (1.0,)
     chain = LevelChain(2, (0.5, 1.0), (frozenset({0, 1, 3}), frozenset({0, 3})), 0.2)
     assert reconstruct(chain).table == (1.0, 0.5, 0.2, 1.0)
+
+
+def test_reconstruct_reads_one_shot_levels_and_members_once():
+    # Validation reads the levels and members once, and the table is filled
+    # from the levels it checked, not from a second pass over an iterator.
+    assert reconstruct(LevelChain(1, iter([1.0]), (frozenset({0, 1}),), None)).table == (1.0, 1.0)
+    chain = LevelChain(2, map(float, (0.5, 1.0)), iter((frozenset({0, 1, 3}), frozenset({0, 3}))), 0.2)
+    assert reconstruct(chain).table == (1.0, 0.5, 0.2, 1.0)
+
+
+def test_an_earlier_members_defect_carries_no_later_build_error():
+    # The second member fails to build, but the first is named: its error
+    # is raised outside the handler, so no traceback shows the later one.
+    with pytest.raises(NotATopology) as err:
+        LevelChain(2, (0.5, 1.0), (frozenset({0, 1, 2}), 5), 0.0).validate()
+    assert err.value.defect == ("missing-full",) and err.value.__context__ is None
+    with pytest.raises(InvalidArgument) as err:
+        LevelChain(2, (0.5, 1.0), (frozenset({0, 1, 3}), 5), 0.0).validate()
+    assert str(err.value) == "mask family must be iterable, got 5"
 
 
 def test_reconstruct_validation_errors():
