@@ -28,8 +28,11 @@ violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
 minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
 The listing scans the upper triangle of C x C in O(|C|^2), on top of the
 O(n 2^n) decision, and then costs about as much as the reports it builds:
-each one is written straight into a fresh instance (:func:`_reports`),
-with the cycle collector paused while the list grows.
+each one is filled in as a plain object and then given its class
+(:func:`_reports`), with the cycle collector paused while the list grows.
+Reports make no numbers of their own: their values are the table's float
+objects and their witnesses come from one int object per candidate, all
+gathered in O(|C|) per call, so a report holds about 185 bytes.
 
 A classical topology is the 0/1 table of its family (:func:`from_topology`).
 A family is one exactly when it equals its closure: the sets holding, with
@@ -105,7 +108,7 @@ class WeightTable:
         check_ground_size(self.n)
         try:
             object.__setattr__(self, "table", tuple(map(float, self.table)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgument(
                 f"table for ground size {self.n} must list real numbers ({exc})"
             ) from None
@@ -139,6 +142,12 @@ class PSpace(WeightTable):
     """
 
 
+def _check_table(w) -> None:
+    """Raise :class:`InvalidArgument` unless ``w`` is a :class:`WeightTable`, a space included."""
+    if not isinstance(w, WeightTable):
+        raise InvalidArgument(f"expected a weight table, got {w!r}")
+
+
 def _pspace(n: int, array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace:
     """The space on n points whose float64 table is ``array``, valid by construction.
 
@@ -163,7 +172,9 @@ class ViolationReport:
 
     Range and boundary reports are constructed as usual; union and
     intersection reports, found by the pair scan, are built in bulk by
-    :func:`_reports` and cannot be told apart from constructed ones.
+    :func:`_reports` and cannot be told apart from constructed ones.  Their
+    ``required`` and ``actual`` are the float objects of the table's
+    ``table`` tuple, and reports share their witness ints.
     ``witness_b`` is None for range and boundary reports.  ``required``
     exceeds ``actual`` in every report (for an out-of-range value above 1
     the pair is ``(value, 1.0)``; for a NaN it is ``(1.0, nan)``).
@@ -214,7 +225,7 @@ def build(n: int, entries: Iterable[tuple[int, float]]) -> WeightTable:
         if mask in seen:
             raise DuplicateMask(f"mask {mask} listed twice")
         seen.add(mask)
-        if type(value) is not float and type(value) is not int:  # plain types skip the call
+        if type(value) is not float:  # plain floats skip the call
             _check_real(value, f"value for mask {mask}")
         v = float(value)
         if not 0.0 <= v <= 1.0:
@@ -296,15 +307,18 @@ _PAIR_OPS = (("union", np.bitwise_or), ("intersection", np.bitwise_and))
 
 
 def _pair_reports(t: np.ndarray, cand: np.ndarray):
-    """Yield the pair reports of :func:`verify_pairwise` over ``cand``, per _PAIR_OPS kind.
+    """Yield the pair violations of :func:`verify_pairwise` over ``cand``, per _PAIR_OPS kind.
 
     ``cand`` holds ascending masks.  Each yield is one row block's
-    (kind, a, b, required, actual) witness arrays: the pairs A <= B of
-    ``cand`` with t[A op B] < min(t[A], t[B]), in lexicographic order.  A
-    block takes the columns from its own first row on, and holds at most
-    1/8 as many rows as columns, so at most about 1/16 of its cells have
-    B < A; it spans at most _CHUNK_CELLS cells, or one row.  At least 128
-    rows keep a small candidate set in one block.
+    (kind, a, b, low, target) arrays, one entry per pair A <= B of ``cand``
+    with t[A op B] < min(t[A], t[B]), in lexicographic order: A, B and the
+    part whose value np.minimum returned are positions in ``cand``, and
+    ``target`` is the mask A op B.  On a tie of -0.0 and 0.0 np.minimum
+    returns its second argument, so the part is A only where the minimum
+    has t[A]'s bits.  A block takes the columns from its own first row on,
+    and holds at most 1/8 as many rows as columns, so at most about 1/16 of
+    its cells have B < A; it spans at most _CHUNK_CELLS cells, or one row.
+    At least 128 rows keep a small candidate set in one block.
     """
     for kind, op in _PAIR_OPS:
         start = 0
@@ -313,31 +327,47 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
             rows = max(1, min(max(128, cols >> 3), _CHUNK_CELLS // cols))
             a = cand[start : start + rows, None]
             b = cand[None, start:]  # pairs with B < A are never reported
-            req = np.minimum(t[a], t[b])
+            ta = t[a]
+            req = np.minimum(ta, t[b])
             bad = (t[op(a, b)] < req) & (b >= a)
             r, c = np.divmod(np.flatnonzero(bad), cols)  # 2-D nonzero is slower
-            wa, wb = a[r, 0], b[0, c]
-            yield kind, wa, wb, req[r, c], t[op(wa, wb)]
+            on_a = req[r, c].view(np.uint64) == ta[r, 0].view(np.uint64)
+            r += start
+            c += start
+            yield kind, r, c, np.where(on_a, r, c), op(cand[r], cand[c])
             start += rows
+
+
+class _Bare:
+    """An empty class laid out as :class:`ViolationReport` is: an instance dict and weak references.
+
+    The frozen dataclass's ``__setattr__`` raises, so a report is filled
+    in as one of these, by plain attribute stores, and then takes on its
+    class.
+    """
 
 
 def _reports(kind, witness_a, witness_b, required, actual) -> list[ViolationReport]:
     """The ``kind`` reports of parallel field lists, in order.
 
-    Each report is made by ``object.__new__`` with its five fields written
-    straight into the instance dict, in field order; the frozen
-    ``__init__`` and its five ``object.__setattr__`` calls would cost more
-    than the rest of the listing.  Equality, hashing, repr, pickling and
-    ``vars()`` match a constructed report.
+    Each report is made as a :class:`_Bare` instance, its five fields set
+    in field order, and then its ``__class__`` is set to
+    :class:`ViolationReport`; the frozen ``__init__`` and its five
+    ``object.__setattr__`` calls would cost more than the rest of the
+    listing.  The fields are taken as given, so reports share the objects
+    of the lists.  Equality, hashing, repr, pickling and ``vars()`` match
+    a constructed report.
     """
-    out = [object.__new__(ViolationReport) for _ in witness_a]
-    for r, a, b, req, act in zip(out, witness_a, witness_b, required, actual):
-        d = r.__dict__
-        d["kind"] = kind
-        d["witness_a"] = a
-        d["witness_b"] = b
-        d["required"] = req
-        d["actual"] = act
+    out = []
+    for a, b, req, act in zip(witness_a, witness_b, required, actual):
+        r = _Bare()
+        r.kind = kind
+        r.witness_a = a
+        r.witness_b = b
+        r.required = req
+        r.actual = act
+        r.__class__ = ViolationReport
+        out.append(r)
     return out
 
 
@@ -368,9 +398,10 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     its candidate masks C, those valued strictly above the table's least
     non-NaN value, in O(|C|^2), upper triangle only.  Each pair report then
     costs about as much as the report object itself, built without its
-    constructor; the cycle collector is paused while the list grows, and
-    its state is restored on return or raise.  :class:`CapExceeded` is
-    raised when an invalid table has more than 2^PAIRWISE_CAP candidates.
+    constructor from the table's own values; the cycle collector is paused
+    while the list grows, and its state is restored on return or raise.
+    :class:`CapExceeded` is raised when an invalid table has more than
+    2^PAIRWISE_CAP candidates.
 
     Report order is deterministic: range (ascending mask), boundary
     (empty then full), union pairs in lexicographic (A, B) order with
@@ -379,6 +410,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
+    _check_table(w)
     t = w._array()
     size = t.size
     reports: list[ViolationReport] = []
@@ -404,9 +436,17 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
             f"listing the violations of {cand.size} candidate masks is capped at "
             f"2^{PAIRWISE_CAP}"
         )
+    # Reports share the table's floats and one int per candidate, all taken
+    # in O(|C|) here; only A op B, which may be no candidate, is looked up
+    # per report.
+    table = w.table
+    masks = cand.astype(object)
+    values = np.array([table[m] for m in masks], dtype=object)
     with _gc_paused():
-        for kind, *arrays in _pair_reports(t, cand):
-            reports += _reports(kind, *(x.tolist() for x in arrays))
+        for kind, a, b, low, target in _pair_reports(t, cand):
+            witnesses = masks[a].tolist(), masks[b].tolist()
+            actual = map(table.__getitem__, target.tolist())
+            reports += _reports(kind, *witnesses, values[low].tolist(), actual)
     return reports
 
 
@@ -426,6 +466,7 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
     highest member last, and np.minimum returns its second argument, the
     minimum so far, on a tie.
     """
+    _check_table(w)
     if w.n > EXHAUSTIVE_CAP:
         raise CapExceeded(f"family scan capped at n = {EXHAUSTIVE_CAP}, got {w.n}")
     t = w._array()
@@ -464,6 +505,7 @@ def complete(w: WeightTable) -> PSpace:
     value outside [0, 1], NaN included.  The ground-size cap N_MAX is its
     only cap.
     """
+    _check_table(w)
     t = w._array()
     bad = _out_of_range(t)
     if bad.size:

@@ -27,7 +27,7 @@ trailing ``.0`` trimmed).
 
 from __future__ import annotations
 
-from .core import WeightTable, build
+from .core import WeightTable, _check_table, build
 from .errors import InvalidArgument, ParseError, UnsupportedVersion
 from .maps import PointMap
 from .masks import _check_real
@@ -67,6 +67,9 @@ def _parse_probability_token(token: str) -> float:
 
 
 def _content_lines(text: str):
+    """Yield (line number, tokens) per content line; a ``text`` that is no str raises first."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"document must be a str, got {text!r}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -117,6 +120,7 @@ def parse_pspace(text: str) -> WeightTable:
 
 def serialize_pspace(p: WeightTable) -> str:
     """Canonical PTOP text for a table; parse(serialize(p)) == p bit-exactly."""
+    _check_table(p)
     lines = [f"ptop {PTOP_VERSION}", f"n {p.n}"]
     last = len(p.table) - 1
     for mask, v in enumerate(p.table):

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PSpace, _blocks, _closure, _family_mask, _pspace
-from .errors import InvalidArgument
+from .errors import CapExceeded, InvalidArgument
 from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .levels import reconstruct  # noqa: F401
-from .masks import _index, check_ground_size
+from .masks import N_MAX, _index, check_ground_size
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -64,7 +64,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform-enough integer in [0, bound): next64 reduced modulo bound."""
+        """Uniform-enough integer in [0, bound): next64 reduced modulo bound.
+
+        ``bound`` must be a positive integer; otherwise :class:`InvalidArgument`
+        is raised and the state does not advance.
+        """
+        if type(bound) is not int:  # _subbasis calls this in its loop: plain ints skip the call
+            bound = _index(bound, "bound")
+        if bound < 1:
+            raise InvalidArgument(f"bound must be at least 1, got {bound}")
         return self.next64() % bound
 
     def unit(self) -> float:
@@ -116,10 +124,14 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     """A seeded random valid space with up to k+1 distinct values.
 
     Deterministic per (n, k, seed); every output passes the verifiers.
+    The level count is capped at 2^N_MAX, the most distinct values a table
+    holds: a larger k raises :class:`CapExceeded` before any draw.
     """
     check_ground_size(n)
     if _index(k, "level count") < 1:
         raise InvalidArgument(f"level count must be at least 1, got {k}")
+    if k > 1 << N_MAX:
+        raise CapExceeded(f"level count {k} exceeds cap 2^{N_MAX}")
     rng = SplitMix64(seed)
     subbases = [_subbasis(n, rng) for _ in range(k)]
     interior: set[float] = set()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _check_topologies, _family_mask, _pspace, prob
+from .core import PSpace, _check_table, _check_topologies, _family_mask, _pspace, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import (
@@ -131,6 +131,7 @@ def decompose(p: PSpace) -> LevelChain:
     :class:`ProbabilityOutOfRange`, naming the first such level in
     ascending order, NaN last.
     """
+    _check_table(p)
     values = np.sort(p._array())  # np.unique would import numpy.ma on its first call
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -152,6 +153,8 @@ def reconstruct(chain: LevelChain) -> PSpace:
     O(k 2^n) for k members.  The table is then filled by
     :func:`_level_table` and converted to the space's tuple once.
     """
+    if not isinstance(chain, LevelChain):
+        raise InvalidArgument(f"expected a level chain, got {chain!r}")
     levels, tables = chain._member_tables()
     if chain.base is None and not tables[0].all():
         uncovered = int(np.argmin(tables[0]))  # nesting makes tables[0] the union

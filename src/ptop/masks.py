@@ -85,12 +85,18 @@ def _check_real(q: float, what: str) -> None:
     """Raise :class:`InvalidArgument`, naming ``q`` as ``what``, unless ``q`` is a real number.
 
     Python and numpy real scalars pass, and so do 0-d real arrays; strings,
-    None, complex numbers and arrays of one or more dimensions do not.
+    None, complex numbers and arrays of one or more dimensions do not.  A
+    real number beyond the float range, such as the int 2**1100, raises
+    :class:`ProbabilityOutOfRange`, since no float can hold it.
     """
     if not isinstance(q, (float, int, numbers.Real)) and not (  # plain types skip the ABC check
         isinstance(q, np.ndarray) and q.ndim == 0 and q.dtype.kind in "biuf"
     ):
         raise InvalidArgument(f"{what} must be a real number, got {q!r}")
+    try:
+        float(q)
+    except OverflowError:
+        raise ProbabilityOutOfRange(f"{what} {q!r} is beyond the float range") from None
 
 
 def check_probability(q: float, what: str) -> None:

@@ -719,6 +719,53 @@ def test_pair_scan_bands_match_brute_force(monkeypatch, chunk_cells):
         _check_reports_against_brute(w)
 
 
+def _numpy_pair_listing(w):
+    # The pair reports as plain lists: np.minimum over the candidate grid,
+    # upper triangle, row-major order, converted with .tolist().
+    t = np.array(w.table)
+    cand = np.nonzero(t > np.fmin.reduce(t))[0]
+    a, b = cand[:, None], cand[None, :]
+    out = []
+    for kind, op in (("union", np.bitwise_or), ("intersection", np.bitwise_and)):
+        req = np.minimum(t[a], t[b])
+        bad = (t[op(a, b)] < req) & (b >= a)
+        r, c = np.nonzero(bad)
+        fields = (cand[r], cand[c], req[bad], t[op(cand[r], cand[c])])
+        out += [(kind, *row) for row in zip(*(x.tolist() for x in fields))]
+    return out, cand.size
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 64, 8192])
+def test_pair_reports_share_the_tables_values(monkeypatch, chunk_cells):
+    # Pair reports hold the table's own float objects and one int object per
+    # candidate, with the bits of a plain numpy listing: on a tie of -0.0 and
+    # 0.0 the required value is the one np.minimum returns.  -1.0 lies below
+    # every other value, so -0.5 is an out-of-range candidate, and every
+    # entry is its own object, so identity names the entry.
+    if chunk_cells is not None:
+        monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", chunk_cells)
+    rng = rng_for(1919)
+    palette = ("-1.0", "-0.5", "-0.0", "0.0", "0.5", "1.0", "nan")
+    ties = out_of_range = 0
+    for n in (5, 8):
+        w = WeightTable(n, tuple(float(palette[rng.below(7)]) for _ in range(1 << n)))
+        reports = [r for r in verify_pairwise(w) if r.kind in ("union", "intersection")]
+        expected, candidates = _numpy_pair_listing(w)
+        assert len(reports) == len(expected)
+        witnesses = set()
+        for r, e in zip(reports, expected):
+            got = (r.kind, r.witness_a, r.witness_b, r.required, r.actual)
+            assert got[:3] == e[:3] and _bits(got[3:]) == _bits(e[3:])
+            a, b = r.witness_a, r.witness_b
+            assert r.actual is w.table[a | b if r.kind == "union" else a & b]
+            assert r.required is w.table[a] or r.required is w.table[b]
+            witnesses.update((id(a), id(b)))
+            ties += r.required == 0.0 and _bits([w.table[a]]) != _bits([w.table[b]])
+            out_of_range += r.required == -0.5
+        assert len(witnesses) <= candidates
+    assert ties and out_of_range
+
+
 def test_bulk_built_reports_cannot_be_told_apart():
     rng = rng_for(1414)
     w = random_weight_table(6, rng, (0.0, 0.5, 1.0))

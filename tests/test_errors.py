@@ -11,32 +11,43 @@ import numpy as np
 import pytest
 
 from ptop import (
+    CapExceeded,
     Cover,
     InvalidArgument,
     LevelChain,
     MaskOutOfRange,
+    N_MAX,
     PointMap,
+    ProbabilityOutOfRange,
     PtopError,
+    SplitMix64,
     WeightTable,
     as_pspace,
     build,
+    complete,
     compress,
     connectivity_threshold,
+    decompose,
     decompress,
     disconnection_witness,
     format_probability,
     full_mask,
     level_cut,
     parse_mask_token,
+    parse_pmap,
+    parse_pspace,
     prob,
     q_open,
     qcover_witness,
     from_topology,
     random_pspace,
+    reconstruct,
+    serialize_pspace,
     submasks,
     subspace_prob,
     topology_closure,
     topology_defect,
+    verify_pairwise,
 )
 from ptop.fileio import _parse_probability_token
 import ptop
@@ -113,6 +124,16 @@ P2 = as_pspace(W2)
         (lambda: full_mask(1.5), "ground size must be an integer, got 1.5"),
         (lambda: list(submasks(1.5)), "mask must be an integer, got 1.5"),
         (lambda: format_probability(None), "probability must be a real number, got None"),
+        (lambda: SplitMix64(1).below(0), "bound must be at least 1, got 0"),
+        (lambda: SplitMix64(1).below(None), "bound must be an integer, got None"),
+        (lambda: as_pspace(None), "expected a weight table, got None"),
+        (lambda: verify_pairwise(None), "expected a weight table, got None"),
+        (lambda: complete(None), "expected a weight table, got None"),
+        (lambda: decompose(None), "expected a weight table, got None"),
+        (lambda: serialize_pspace(5), "expected a weight table, got 5"),
+        (lambda: reconstruct(5), "expected a level chain, got 5"),
+        (lambda: parse_pspace(None), "document must be a str, got None"),
+        (lambda: parse_pmap(b"pmap 1"), "document must be a str, got b'pmap 1'"),
     ],
 )
 def test_argument_errors_are_ptop_errors_and_value_errors(call, message):
@@ -120,6 +141,45 @@ def test_argument_errors_are_ptop_errors_and_value_errors(call, message):
         call()
     assert isinstance(err.value, PtopError) and isinstance(err.value, ValueError)
     assert str(err.value) == message
+
+
+def test_below_rejects_a_bad_bound_before_drawing():
+    rng = SplitMix64(3)
+    for bound in (0, -1, None, 1.5):
+        with pytest.raises(InvalidArgument):
+            rng.below(bound)
+    assert rng.state == SplitMix64(3).state
+    assert rng.below(np.int64(7)) == SplitMix64(3).below(7)
+
+
+def test_ints_beyond_the_float_range_are_out_of_range():
+    big = 2**1100
+    p = as_pspace(build(1, []))
+    for call, message in [
+        (lambda: build(1, [(1, big)]), f"value for mask 1 {big!r} is beyond the float range"),
+        (lambda: build(1, [(1, -big)]), f"value for mask 1 {-big!r} is beyond the float range"),
+        (lambda: format_probability(big), f"probability {big!r} is beyond the float range"),
+        (lambda: disconnection_witness(p, big), f"threshold {big!r} is beyond the float range"),
+        (lambda: level_cut(p, big), f"threshold {big!r} is beyond the float range"),
+    ]:
+        with pytest.raises(ProbabilityOutOfRange) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(InvalidArgument) as err:
+        WeightTable(1, (1.0, big))
+    assert str(err.value) == (
+        "table for ground size 1 must list real numbers (int too large to convert to float)"
+    )
+    # Plain ints in the float range still pass build's values.
+    assert build(1, [(1, 1)]).table == (1.0, 1.0)
+
+
+def test_level_count_is_capped_before_any_draw():
+    with pytest.raises(CapExceeded) as err:
+        random_pspace(3, 2**70, 0)
+    assert str(err.value) == f"level count {2**70} exceeds cap 2^{N_MAX}"
+    with pytest.raises(CapExceeded):
+        random_pspace(3, (1 << N_MAX) + 1, 0)
 
 
 def test_numpy_integers_pass_as_sizes_masks_and_points():
@@ -181,9 +241,8 @@ def test_build_takes_real_values_of_any_numeric_type():
     assert build(1, [(1, np.int8(0))]).table == (1.0, 0.0)
 
 
-HUGE = 2**70
 # Tried on every numeric parameter; collection parameters also get the int 5.
-HOSTILE = (1.5, "0.5", None, np.zeros((2, 2)), -1, HUGE, float("nan"))
+HOSTILE = (1.5, "0.5", None, np.zeros((2, 2)), -1, 2**70, 2**1100, float("nan"))
 P3 = as_pspace(build(2, [(1, 0.5), (2, 0.25)]))
 COVER = Cover(2, (1, 2, 3))
 SWAP = PointMap(2, 2, (1, 0))
@@ -273,10 +332,6 @@ def hostile_argument_leaks() -> list[str]:
             else:
                 continue
             for value in values:
-                if name == "random_pspace" and i == 1 and value is HUGE:
-                    # 2**70 levels pass every check, then draw subbases until
-                    # memory runs out; there is no cap on the level count.
-                    continue
                 call = args[:i] + (value,) + args[i + 1 :]
                 try:
                     _settle(func(*call))
