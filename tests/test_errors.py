@@ -174,7 +174,7 @@ def test_ints_beyond_the_float_range_are_out_of_range():
     assert build(1, [(1, 1)]).table == (1.0, 1.0)
 
 
-def test_level_count_is_capped_before_any_draw():
+def test_level_count_is_capped_at_the_most_values_a_table_holds():
     with pytest.raises(CapExceeded) as err:
         random_pspace(3, 2**70, 0)
     assert str(err.value) == f"level count {2**70} exceeds cap 2^{N_MAX}"
