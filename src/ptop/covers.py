@@ -17,8 +17,8 @@ from typing import Literal
 
 import numpy as np
 
-from .core import PSpace
-from .errors import DimensionMismatch, DuplicateMask, NotACover
+from .core import PSpace, _check_table
+from .errors import DimensionMismatch, DuplicateMask, InvalidArgument, NotACover
 from .masks import _check_real, _collection, _index, bits, check_ground_size, check_mask, full_mask
 
 
@@ -47,6 +47,12 @@ class Cover:
         return out
 
 
+def _check_cover(cover) -> None:
+    """Raise :class:`InvalidArgument` unless ``cover`` is a :class:`Cover`."""
+    if not isinstance(cover, Cover):
+        raise InvalidArgument(f"expected a cover, got {cover!r}")
+
+
 @dataclass(frozen=True)
 class CoverDefect:
     """Why a family is not a q-cover.
@@ -66,6 +72,8 @@ def qcover_witness(p: PSpace, cover: Cover, q: float) -> CoverDefect | None:
     Coverage is checked before member values, so an uncovered point wins
     when both conditions fail.
     """
+    _check_table(p)
+    _check_cover(cover)
     if cover.n != p.n:
         raise DimensionMismatch(
             f"cover on {cover.n} points used with a space on {p.n} points"
@@ -121,6 +129,7 @@ def min_subcover(cover: Cover) -> Cover:
     4-9 members on 8 points about 50 us, a fifth of it the numpy pass.
     Raises :class:`NotACover` when the members do not cover.
     """
+    _check_cover(cover)
     full = full_mask(cover.n)
     members = cover.members
     if missed := full & ~cover.union():
@@ -175,6 +184,7 @@ def disconnection_witness(p: PSpace, q: float) -> tuple[int, int] | None:
     paired with its complement.  Scans 2^(n-1) partitions.  Any real q
     is taken, the -inf of :func:`connectivity_threshold` included.
     """
+    _check_table(p)
     _check_real(q, "threshold")
     full = full_mask(p.n)
     t = p._array()
@@ -196,6 +206,7 @@ def connectivity_threshold(p: PSpace) -> float:
     disconnects.  Ground sets with at most one point have no partitions
     and give -inf (connected at every q).
     """
+    _check_table(p)
     if p.n <= 1:
         return float("-inf")
     full = full_mask(p.n)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .core import WeightTable, _check_table, build
 from .errors import InvalidArgument, ParseError, UnsupportedVersion
-from .maps import PointMap
+from .maps import PointMap, _check_map
 from .masks import _check_real
 
 PTOP_VERSION = "1"
@@ -153,6 +153,7 @@ def parse_pmap(text: str) -> PointMap:
 
 def serialize_pmap(f: PointMap) -> str:
     """Canonical PMAP text for a point map."""
+    _check_map(f)
     lines = [f"pmap {PMAP_VERSION}", f"dom {f.domain_n}", f"cod {f.codomain_n}"]
     lines.extend(f"{x} {y}" for x, y in enumerate(f.image))
     return "\n".join(lines) + "\n"

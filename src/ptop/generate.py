@@ -99,6 +99,8 @@ def _subbasis(n: int, rng: SplitMix64) -> list[int]:
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
     """Closure of a random subbasis of up to n+1 subsets."""
     check_ground_size(n)
+    if not isinstance(rng, SplitMix64):
+        raise InvalidArgument(f"expected a SplitMix64 generator, got {rng!r}")
     return topology_closure(n, _subbasis(n, rng))
 
 

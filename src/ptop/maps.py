@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _hull, _pspace
+from .core import PSpace, _check_table, _hull, _pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
@@ -46,6 +46,12 @@ class PointMap:
                 )
 
 
+def _check_map(f) -> None:
+    """Raise :class:`InvalidArgument` unless ``f`` is a :class:`PointMap`."""
+    if not isinstance(f, PointMap):
+        raise InvalidArgument(f"expected a point map, got {f!r}")
+
+
 def identity_map(n: int) -> PointMap:
     check_ground_size(n)
     return PointMap(n, n, tuple(range(n)))
@@ -53,6 +59,7 @@ def identity_map(n: int) -> PointMap:
 
 def preimage(f: PointMap, b: int) -> int:
     """Mask of domain points whose image lies in ``b``."""
+    _check_map(f)
     check_mask(b, f.codomain_n)
     out = 0
     for x, y in enumerate(f.image):
@@ -63,6 +70,8 @@ def preimage(f: PointMap, b: int) -> int:
 
 def compose(f: PointMap, g: PointMap) -> PointMap:
     """The map applying ``f`` first, then ``g``."""
+    _check_map(f)
+    _check_map(g)
     if f.codomain_n != g.domain_n:
         raise DimensionMismatch(
             f"cannot compose: first map lands in {f.codomain_n} points, "
@@ -86,6 +95,7 @@ def subspace_prob(p: PSpace, y: int, a: int) -> float:
     complement of ``y``; 2^(n - |y|) table lookups.
     NaN and values below 0 are passed over: the result is at least +0.0.
     """
+    _check_table(p)
     check_mask(y, p.n)
     if _index(a, "mask") & ~y:
         raise NotASubset(f"mask {a} is not contained in subspace {y}")
@@ -103,6 +113,7 @@ def subspace(p: PSpace, y: int) -> PSpace:
     compressed-mask order, in O(2^n).  Zeros come out as +0.0, so taking
     ``y`` to be the full mask returns ``p``'s table with -0.0 read as 0.0.
     """
+    _check_table(p)
     check_mask(y, p.n)
     cube = p._array().reshape((2,) * p.n)
     outside = tuple(p.n - 1 - i for i in range(p.n) if not y >> i & 1)
@@ -118,6 +129,9 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
     preimages of all of them come from one hull table, the OR of the
     preimages of their points, so the whole check is O(2^codomain).
     """
+    _check_map(f)
+    _check_table(p)
+    _check_table(q)
     if f.domain_n != p.n or f.codomain_n != q.n:
         raise DimensionMismatch(
             f"map {f.domain_n}->{f.codomain_n} does not connect spaces "

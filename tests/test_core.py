@@ -585,16 +585,19 @@ def test_topology_defect_on_large_families_returns_promptly_in_a_child():
     # top pair is closed under neither operation; the powerset without the
     # complement of the top singleton is closed under intersections.  Naming
     # their defects must not scan pairs row by row up to the first bad row.
-    # A child with a timeout turns a slow scan into a failure instead of a
-    # stalled suite.
+    # At N_MAX, where the closure's int32 mask tables reach 2^20 - 1, the
+    # sets holding the top point (with the empty set) are a topology, and the
+    # powerset without the top singleton is again no topology.  A child with
+    # a timeout turns a slow scan into a failure instead of a stalled suite.
     code = (
         "from ptop import NotATopology, from_topology, topology_defect\n"
-        "n = 17\n"
-        "for family in (\n"
-        "    [0] + [m for m in range(1 << n) if m.bit_count() >= 2],\n"
-        "    [m for m in range(1 << n) if m != 1 << (n - 1)],\n"
-        "    [m for m in range(1 << n) if m != 3 << (n - 2)],\n"
-        "    [m for m in range(1 << n) if m != (1 << (n - 1)) - 1],\n"
+        "for n, family in (\n"
+        "    (17, [0] + [m for m in range(1 << 17) if m.bit_count() >= 2]),\n"
+        "    (17, [m for m in range(1 << 17) if m != 1 << 16]),\n"
+        "    (17, [m for m in range(1 << 17) if m != 3 << 15]),\n"
+        "    (17, [m for m in range(1 << 17) if m != (1 << 16) - 1]),\n"
+        "    (20, [0] + [m for m in range(1 << 20) if m >> 19]),\n"
+        "    (20, [m for m in range(1 << 20) if m != 1 << 19]),\n"
         "):\n"
         "    print(topology_defect(n, family))\n"
         "    try:\n"
@@ -619,7 +622,10 @@ def test_topology_defect_on_large_families_returns_promptly_in_a_child():
         "('union', 32768, 65536)\n"
         "('union', 32768, 65536) not a topology: union 32768 65536\n"
         "('union', 1, 65534)\n"
-        "('union', 1, 65534) not a topology: union 1 65534\n",
+        "('union', 1, 65534) not a topology: union 1 65534\n"
+        "None\n"
+        "('intersection', 524289, 524290)\n"
+        "('intersection', 524289, 524290) not a topology: intersection 524289 524290\n",
     )
 
 

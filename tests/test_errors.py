@@ -25,6 +25,7 @@ from ptop import (
     as_pspace,
     build,
     complete,
+    compose,
     compress,
     connectivity_threshold,
     decompose,
@@ -33,6 +34,7 @@ from ptop import (
     format_probability,
     full_mask,
     level_cut,
+    min_subcover,
     parse_mask_token,
     parse_pmap,
     parse_pspace,
@@ -41,7 +43,9 @@ from ptop import (
     qcover_witness,
     from_topology,
     random_pspace,
+    random_topology,
     reconstruct,
+    serialize_pmap,
     serialize_pspace,
     submasks,
     subspace_prob,
@@ -132,6 +136,13 @@ P2 = as_pspace(W2)
         (lambda: decompose(None), "expected a weight table, got None"),
         (lambda: serialize_pspace(5), "expected a weight table, got 5"),
         (lambda: reconstruct(5), "expected a level chain, got 5"),
+        (lambda: level_cut(None, 0.5), "expected a weight table, got None"),
+        (lambda: prob(5, 1), "expected a weight table, got 5"),
+        (lambda: min_subcover(None), "expected a cover, got None"),
+        (lambda: qcover_witness(P2, 5, 0.5), "expected a cover, got 5"),
+        (lambda: compose(PointMap(1, 1, (0,)), None), "expected a point map, got None"),
+        (lambda: serialize_pmap(5), "expected a point map, got 5"),
+        (lambda: random_topology(3, None), "expected a SplitMix64 generator, got None"),
         (lambda: parse_pspace(None), "document must be a str, got None"),
         (lambda: parse_pmap(b"pmap 1"), "document must be a str, got b'pmap 1'"),
     ],
@@ -250,9 +261,9 @@ CHAIN_ARGS = (2, (0.5, 1.0), (frozenset({0, 1, 3}), frozenset({0, 3})), 0.25)
 
 # One valid call per public callable of ptop.  The sweep replaces one numeric
 # or collection argument at a time.  Objects (spaces, maps, covers, chains,
-# the rng) keep their value: their own constructors are swept.  So does text:
-# the parsers' documents and tokens have their own tests (test_fileio.py),
-# and a report kind is a label that no function reads.
+# the rng) get None and the int 5 only: their own constructors are swept.
+# Text keeps its value: the parsers' documents and tokens have their own
+# tests (test_fileio.py), and a report kind is a label that no function reads.
 SWEEP_CALLS = {
     "CompactnessVerdict": (True, "finite-trivial"),
     "Cover": (2, (1, 2, 3)),
@@ -329,8 +340,10 @@ def hostile_argument_leaks() -> list[str]:
                 values = HOSTILE + (5,)
             elif isinstance(arg, (int, float)):
                 values = HOSTILE
-            else:
+            elif isinstance(arg, str):
                 continue
+            else:
+                values = (None, 5)
             for value in values:
                 call = args[:i] + (value,) + args[i + 1 :]
                 try:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from ptop import (
@@ -94,6 +95,27 @@ def test_reconstruct_reads_one_shot_levels_and_members_once():
     assert reconstruct(chain).table == (1.0, 0.5, 0.2, 1.0)
 
 
+def test_one_shot_members_that_fail_to_build_name_their_own_error():
+    # A member is read once: the build error comes from what was read, not
+    # from a second pass over an exhausted iterator (which built an empty
+    # member, so the chain passed or was wrongly called not nested).
+    for chain, error, message in [
+        (lambda: LevelChain(2, (1.0,), (iter([0, 1.5, 3]),), None), InvalidArgument, "mask must be an integer, got 1.5"),
+        (
+            lambda: LevelChain(2, (0.5, 1.0), (iter([0, 1, 2, 3.5]), frozenset({0, 3})), 0.0),
+            InvalidArgument,
+            "mask must be an integer, got 3.5",
+        ),
+        (lambda: LevelChain(2, (1.0,), (iter([0, 3, 9]),), 0.0), MaskOutOfRange, "mask 9 out of range for ground size 2"),
+    ]:
+        for check in (LevelChain.validate, reconstruct):
+            with pytest.raises(error) as err:
+                check(chain())
+            assert str(err.value) == message
+    chain = LevelChain(2, (0.5, 1.0), (iter([0, 1, 3]), iter([0, 3])), 0.2)
+    assert reconstruct(chain).table == (1.0, 0.5, 0.2, 1.0)
+
+
 def test_an_earlier_members_defect_carries_no_later_build_error():
     # The second member fails to build, but the first is named: its error
     # is raised outside the handler, so no traceback shows the later one.
@@ -152,6 +174,38 @@ def test_roundtrip_and_cut_properties(n, k, seed):
         assert smaller <= bigger
 
 
+def assert_decomposed_into_level_cuts(p):
+    chain = decompose(p)
+    values = set(p.table)  # -0.0 and 0.0 are one value
+    assert chain.levels == tuple(sorted(v for v in values if v != 0.0))
+    assert repr(chain.base) == ("0.0" if 0.0 in values else "None")
+    assert chain.topologies == tuple(level_cut(p, q) for q in chain.levels)
+
+
+def test_decompose_cuts_are_level_cuts_on_generated_spaces():
+    for n in range(13):
+        for k, seed in ((1, n), (3, 100 + n), (2 + n, 200 + n)):
+            assert_decomposed_into_level_cuts(random_pspace(n, k, seed))
+    assert_decomposed_into_level_cuts(random_pspace(16, 6, 1600))
+
+
+@pytest.mark.parametrize(
+    "n, table",
+    [
+        (0, (1.0,)),
+        (1, (1.0, 1.0)),
+        (2, (1.0, -0.0, 0.0, 1.0)),
+        (2, (1.0, 0.0, -0.0, 1.0)),
+        (2, (-0.0, 0.5, 0.5, 1.0)),
+        (3, (1.0, 0.5, 0.5, 0.5, -0.0, 0.5, 0.0, 1.0)),
+        (3, (1.0, 0.25, 0.75, 0.25, 0.75, 0.25, 0.75, 1.0)),
+        (2, (0.0, 0.0, -0.0, 0.0)),
+    ],
+)
+def test_decompose_cuts_are_level_cuts_on_signed_zeros_and_ties(n, table):
+    assert_decomposed_into_level_cuts(PSpace(n, table))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 2**32), st.data())
 def test_q_open_monotone(n, seed, data):
@@ -170,6 +224,7 @@ def test_cuts_and_roundtrip_on_many_level_spaces(w):
     p = PSpace(w.n, w.table)
     for q in sorted(set(p.table)):
         assert is_classical_topology(p.n, level_cut(p, q))
+    assert_decomposed_into_level_cuts(p)
     back = reconstruct(decompose(p))
     assert back == p
     assert verify_pairwise(back) == []
@@ -237,19 +292,59 @@ def test_chain_edge_cases_agree_under_python_O():
     assert done.stdout == repr([chain_outcome(*case) for case, _ in EDGE_CHAINS]) + "\n"
 
 
+# The forms a chain member takes, made from a topology's masks on n points,
+# with the build error each raises (None: it builds).
+MEMBER_FORMS = [
+    (lambda topo, n: frozenset(topo), None),
+    (lambda topo, n: iter(sorted(topo)), None),  # read once
+    (lambda topo, n: [np.int64(m) for m in sorted(topo)], None),
+    (lambda topo, n: 5, "InvalidArgument"),
+    (lambda topo, n: topo | {0.5}, "InvalidArgument"),
+    (lambda topo, n: iter([*sorted(topo), np.float64(3.0)]), "InvalidArgument"),
+    (lambda topo, n: topo | {(1 << n) + n % 3}, "MaskOutOfRange"),
+    (lambda topo, n: [*sorted(topo), -1 - n % 2], "MaskOutOfRange"),
+    (lambda topo, n: [np.uint64(2**63), *sorted(topo)], "MaskOutOfRange"),
+    (lambda topo, n: iter([*sorted(topo), 2**70]), "MaskOutOfRange"),
+]
+
+
+def member_outcome(n, forms, topos):
+    """The error of checking the members one at a time, first member first, then nesting."""
+    for (_, error), topo in zip(forms, topos):
+        if error is not None:
+            return (error, None)
+        defect = brute_topology_defect(n, topo)
+        if defect is not None:
+            return ("NotATopology", defect)
+    if any(not lower <= higher for higher, lower in zip(topos, topos[1:])):
+        return ("ChainNotNested", None)
+    return None
+
+
+def chain_members_outcome(n, forms, topos):
+    levels = tuple((i + 1) / len(topos) for i in range(len(topos)))
+    members = tuple(make(topo, n) for (make, _), topo in zip(forms, topos))
+    try:
+        LevelChain(n, levels, members, 0.0).validate()
+    except PtopError as exc:
+        return (type(exc).__name__, getattr(exc, "defect", None))
+    return None
+
+
 @pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 16], ids=["default", "16"])
 def test_chain_members_are_checked_in_order(monkeypatch, fold_cells):
     # Chains of random topologies, some with a mask toggled, some not nested
-    # and some holding a member that fails to build (a mask out of range, a
-    # member that is no integer, or no collection at all): the members are
-    # decided together, but the error must be that of checking them one at a
-    # time, first member first, then nesting.  At 16 cells per block, chains
-    # from n = 3 up close in several blocks.
+    # and some holding a member that fails to build (a mask out of range or
+    # beyond int64, a member that is no integer, or no collection at all),
+    # in every form of MEMBER_FORMS, one-shot iterators included: the members
+    # are decided a block at a time, but the error must be that of checking
+    # them one at a time, first member first, then nesting.  At 16 cells per
+    # block, chains from n = 3 up close in several blocks.
     monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
     rng = rng_for(1617)
     for _ in range(300):
         n, k = 1 + rng.below(4), 1 + rng.below(4)
-        members, topos = [], []
+        forms, topos = [], []
         for _ in range(k):
             topo = brute_closure(n, [rng.below(1 << n) for _ in range(rng.below(n + 2))])
             if topos and rng.below(2):
@@ -257,34 +352,20 @@ def test_chain_members_are_checked_in_order(monkeypatch, fold_cells):
             if not rng.below(4):
                 topo ^= {rng.below(1 << n)}
             topos.append(topo)
-            unbuilt = rng.below(12)
-            members.append(
-                topo | {(1 << n) + rng.below(4)} if unbuilt == 0
-                else topo | {0.5} if unbuilt == 1
-                else 5 if unbuilt == 2
-                else frozenset(topo)
-            )
-        expected = None
-        for topo in members:
-            if topo == 5 or 0.5 in topo:
-                expected = ("InvalidArgument", None)
-            elif max(topo, default=0) >= 1 << n:
-                expected = ("MaskOutOfRange", None)
-            else:
-                defect = brute_topology_defect(n, topo)
-                expected = None if defect is None else ("NotATopology", defect)
-            if expected is not None:
-                break
-        else:
-            if any(not lower <= higher for higher, lower in zip(members, members[1:])):
-                expected = ("ChainNotNested", None)
-        levels = tuple((i + 1) / k for i in range(k))
-        try:
-            LevelChain(n, levels, tuple(members), 0.0).validate()
-            got = None
-        except PtopError as exc:
-            got = (type(exc).__name__, getattr(exc, "defect", None))
-        assert got == expected
+            form = rng.below(4 * len(MEMBER_FORMS))
+            forms.append(MEMBER_FORMS[form if form < len(MEMBER_FORMS) else form % 3])
+        assert chain_members_outcome(n, forms, topos) == member_outcome(n, forms, topos)
+    # Every form after a member that is no topology, and after members that
+    # are: at 16 cells per block the last member is read in the second block
+    # of rows.
+    full, bad = set(range(8)), {0, 1, 2, 7}
+    for form in MEMBER_FORMS:
+        for third in (full, bad):
+            forms = [MEMBER_FORMS[0]] * 3 + [form]
+            topos = [full, full, third, {0, 7}]
+            expected = ("NotATopology", ("union", 1, 2)) if third is bad else (form[1], None) if form[1] else None
+            assert member_outcome(3, forms, topos) == expected
+            assert chain_members_outcome(3, forms, topos) == expected
 
 
 NAN = float("nan")

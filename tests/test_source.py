@@ -52,6 +52,26 @@ def test_every_name_the_benchmark_tracer_patches_resolves():
     assert spans["PATCHED"] and missing == []
 
 
+def test_unused_imports_are_names_the_benchmark_tracer_patches():
+    # An import kept unused with `# noqa: F401` is there only for
+    # benchmarks/spans.py to patch; once PATCHED drops its (module, name)
+    # pair, the import must go too.
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"))
+    patched = {(namespace, name) for namespace, name, _ in spans["PATCHED"]}
+    kept = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                kept += [
+                    (f"ptop.{path.stem}", alias.asname or alias.name)
+                    for alias in node.names
+                    if "# noqa: F401" in lines[alias.lineno - 1]
+                ]
+    assert kept and set(kept) <= patched, sorted(set(kept) - patched)
+
+
 def test_library_modules_use_every_name_they_import():
     # No linter runs on this repo, so a name left behind by a refactor would
     # stay imported for good.  __init__.py re-exports by importing, and a
