@@ -68,7 +68,7 @@ from .errors import (
     NotATopology,
     ProbabilityOutOfRange,
 )
-from .masks import _check_real, _collection, _index, bits, check_ground_size, check_mask
+from .masks import _check_real, _collection, _expect, _index, bits, check_ground_size, check_mask
 
 # Documented caps: listing the violations of an invalid table with C candidate
 # masks is O(|C|^2), capped at |C| <= 2^PAIRWISE_CAP (the pair cells of a full
@@ -145,8 +145,7 @@ class PSpace(WeightTable):
 
 def _check_table(w) -> None:
     """Raise :class:`InvalidArgument` unless ``w`` is a :class:`WeightTable`, a space included."""
-    if not isinstance(w, WeightTable):
-        raise InvalidArgument(f"expected a weight table, got {w!r}")
+    _expect(w, WeightTable, "a weight table")
 
 
 def _pspace(n: int, array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace:
@@ -533,32 +532,61 @@ def as_pspace(w: WeightTable) -> PSpace:
     return _pspace(w.n, w._array(), w.table)
 
 
-def _family_mask(n: int, members) -> np.ndarray:
-    """The boolean table over the 2^n subsets that marks ``members``.
+def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None:
+    """Mark family i of ``families``, a sequence of iterables of masks, in the boolean row ``rows[i]``.
 
-    ``members`` is an iterable of masks.  Anything else, or a member that
-    is no integer, raises :class:`InvalidArgument` (bools and numpy
-    integers pass); then :class:`MaskOutOfRange` is raised on any mask
-    outside [0, 2^n), checked on the least and then the greatest member.
-    ``n`` is checked first, before the table of 2^n entries is made.  The
-    masks are read at once into an ``array("q")``, which takes what
-    ``operator.index`` takes and refuses ints beyond int64; only when that
-    read fails are they read one at a time, to name the first non-integer.
+    The one reader of mask families.  A block of rows at a time
+    (:func:`_blocks`), each family is read once, with ``list``, into one
+    int64 ``array("q")``, which takes what ``operator.index`` takes and
+    refuses ints beyond int64; the block is range-checked in one pass and
+    marked with one scatter.  Reading stops at the first family that
+    fails, and its error is worded from the list read: :class:`InvalidArgument`
+    when it is not iterable (or raises TypeError while read) or holds a
+    member that is no integer, the first one named (bools and numpy
+    integers pass); else :class:`MaskOutOfRange` on its least and then its
+    greatest mask.  With ``prefix``, the rows before it, or every row, go
+    through :func:`_check_topologies` first.
+    """
+    failed = len(families)
+    for block in _blocks(n, len(families)):
+        part, reads, buffer = families[block], [], array("q")
+        for family in part:
+            got = None
+            try:
+                got = list(family)
+                buffer.fromlist(got)
+            except (TypeError, OverflowError):  # no iterable, a member no integer, or beyond int64
+                break
+            reads.append(got)
+        masks = np.frombuffer(buffer, dtype=np.int64)
+        row = np.repeat(np.arange(len(reads)), [len(r) for r in reads])
+        bad = np.flatnonzero(masks >> n)  # negative, or 2^n and above
+        good = bad[0] if bad.size else masks.size
+        rows[block][row[:good], masks[:good]] = True
+        first = int(row[good]) if bad.size else len(reads)  # the first family that fails, if any
+        if first < len(part):
+            failed, got = block.start + first, reads[first] if bad.size else got
+            break
+    if prefix is not None:
+        _check_topologies(n, rows[:failed], prefix)
+    if failed == len(families):
+        return
+    if got is None:
+        raise InvalidArgument(f"mask family must be iterable, got {families[failed]!r}")
+    masks = [_index(m, "mask") for m in got]  # names the first non-integer
+    check_mask(min(masks), n)  # beyond int64 is out of range
+    check_mask(max(masks), n)
+
+
+def _family_mask(n: int, members) -> np.ndarray:
+    """The boolean table over the 2^n subsets that marks ``members``, read by :func:`_mark`.
+
+    ``n`` is checked first, before the table of 2^n entries is made.
     """
     check_ground_size(n)
-    members = _collection(members, "mask family")
-    member = np.zeros(1 << n, dtype=bool)
-    if len(members):
-        try:
-            masks = np.frombuffer(array("q", members), dtype=np.int64)
-            least, greatest = int(masks.min()), int(masks.max())
-        except (TypeError, OverflowError):  # a member no integer, or beyond int64
-            masks = [_index(m, "mask") for m in members]  # names the first non-integer
-            least, greatest = min(masks), max(masks)  # beyond int64 is out of range
-        check_mask(least, n)
-        check_mask(greatest, n)
-        member[masks] = True
-    return member
+    member = np.zeros((1, 1 << n), dtype=bool)
+    _mark(n, member, (members,))
+    return member[0]
 
 
 def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:

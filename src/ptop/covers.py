@@ -18,8 +18,8 @@ from typing import Literal
 import numpy as np
 
 from .core import PSpace, _check_table
-from .errors import DimensionMismatch, DuplicateMask, InvalidArgument, NotACover
-from .masks import _check_real, _collection, _index, bits, check_ground_size, check_mask, full_mask
+from .errors import DimensionMismatch, DuplicateMask, NotACover
+from .masks import _check_real, _collection, _expect, _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,6 @@ class Cover:
         return out
 
 
-def _check_cover(cover) -> None:
-    """Raise :class:`InvalidArgument` unless ``cover`` is a :class:`Cover`."""
-    if not isinstance(cover, Cover):
-        raise InvalidArgument(f"expected a cover, got {cover!r}")
-
-
 @dataclass(frozen=True)
 class CoverDefect:
     """Why a family is not a q-cover.
@@ -73,7 +67,7 @@ def qcover_witness(p: PSpace, cover: Cover, q: float) -> CoverDefect | None:
     when both conditions fail.
     """
     _check_table(p)
-    _check_cover(cover)
+    _expect(cover, Cover, "a cover")
     if cover.n != p.n:
         raise DimensionMismatch(
             f"cover on {cover.n} points used with a space on {p.n} points"
@@ -129,7 +123,7 @@ def min_subcover(cover: Cover) -> Cover:
     4-9 members on 8 points about 50 us, a fifth of it the numpy pass.
     Raises :class:`NotACover` when the members do not cover.
     """
-    _check_cover(cover)
+    _expect(cover, Cover, "a cover")
     full = full_mask(cover.n)
     members = cover.members
     if missed := full & ~cover.union():

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from .core import WeightTable, _check_table, build
 from .errors import InvalidArgument, ParseError, UnsupportedVersion
-from .maps import PointMap, _check_map
-from .masks import _check_real
+from .maps import PointMap
+from .masks import _check_real, _expect
 
 PTOP_VERSION = "1"
 PMAP_VERSION = "1"
@@ -153,7 +153,7 @@ def parse_pmap(text: str) -> PointMap:
 
 def serialize_pmap(f: PointMap) -> str:
     """Canonical PMAP text for a point map."""
-    _check_map(f)
+    _expect(f, PointMap, "a point map")
     lines = [f"pmap {PMAP_VERSION}", f"dom {f.domain_n}", f"cod {f.codomain_n}"]
     lines.extend(f"{x} {y}" for x, y in enumerate(f.image))
     return "\n".join(lines) + "\n"

@@ -6,13 +6,12 @@ of topologies are topologies), attach strictly increasing random levels
 ending at 1, and rebuild the table from the chain.  Every output passes
 the verifiers, and identical (n, k, seed) triples give bit-identical
 tables on every platform.  :func:`random_pspace` keeps the chain as
-boolean tables throughout: the subbases are marked in the rows of a stack
-and closed together, a block of rows at a time under the block rule that
-also serves the level-chain check (:func:`~ptop.core._blocks`: at most
-2^20 cells or one row per block), each closure is ANDed into the running
-intersection, and the table is filled from it by the same helper as
-:func:`~ptop.levels.reconstruct`, with no frozenset built and no member
-closed twice.
+boolean tables throughout: the subbases are marked by the mask reader
+that also serves the level-chain check (:func:`~ptop.core._mark`) and
+closed together a block of rows at a time, each closure is ANDed into the
+running intersection, and the table is filled from it by the same helper
+as :func:`~ptop.levels.reconstruct`, with no frozenset built and no
+member closed twice.
 
 Determinism contract, pinned so seeds can be shared across tools:
 
@@ -34,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _blocks, _closure, _family_mask, _pspace
+from .core import PSpace, _blocks, _closure, _family_mask, _mark, _pspace
 from .errors import CapExceeded, InvalidArgument
 from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .levels import reconstruct  # noqa: F401
-from .masks import N_MAX, _index, check_ground_size
+from .masks import N_MAX, _expect, _index, check_ground_size
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -99,24 +98,21 @@ def _subbasis(n: int, rng: SplitMix64) -> list[int]:
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
     """Closure of a random subbasis of up to n+1 subsets."""
     check_ground_size(n)
-    if not isinstance(rng, SplitMix64):
-        raise InvalidArgument(f"expected a SplitMix64 generator, got {rng!r}")
+    _expect(rng, SplitMix64, "a SplitMix64 generator")
     return topology_closure(n, _subbasis(n, rng))
 
 
 def _chain(n: int, subbases: list[list[int]]):
     """Yield the running intersections of the subbases' closures, in order.
 
-    The subbases are marked in the rows of a stack and closed together, a
-    block of rows at a time (:func:`~ptop.core._blocks`), so that only one
-    block's stack is held; one boolean table is yielded per subbasis,
-    updated in place.
+    The subbases are marked (:func:`~ptop.core._mark`) and closed a block of
+    rows at a time (:func:`~ptop.core._blocks`), so only one block's stack
+    is held; one boolean table is yielded per subbasis, updated in place.
     """
     opens = np.ones(1 << n, dtype=bool)
     for block in _blocks(n, len(subbases)):
         seeds = np.zeros((len(subbases[block]), 1 << n), dtype=bool)
-        for row, masks in zip(seeds, subbases[block]):
-            row[masks] = True
+        _mark(n, seeds, subbases[block])
         for closed in _closure(n, seeds):
             opens &= closed
             yield opens

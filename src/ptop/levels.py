@@ -16,22 +16,15 @@ becomes more open as q grows.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _blocks, _check_table, _check_topologies, _family_mask, _pspace, prob
+from .core import PSpace, _check_table, _mark, _pspace, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
-from .errors import (
-    ChainNotNested,
-    InvalidArgument,
-    MissingBase,
-    ProbabilityOutOfRange,
-    PtopError,
-)
-from .masks import _check_real, _collection, check_ground_size, check_mask, check_probability
+from .errors import ChainNotNested, InvalidArgument, MissingBase, ProbabilityOutOfRange
+from .masks import _check_real, _collection, _expect, check_ground_size, check_mask, check_probability
 
 
 @dataclass(frozen=True)
@@ -55,17 +48,13 @@ class LevelChain:
         closedness (:class:`InvalidArgument`, :class:`MaskOutOfRange`,
         :class:`NotATopology`), then nesting (:class:`ChainNotNested`), then
         the base.  The error is that of checking the members one at a time,
-        first member first.  The members are read a block of rows at a time
-        (:func:`~ptop.core._blocks`: at most 2^20 cells or one row), each
-        member once, into one int64 buffer, up to the first member that
-        fails to read; the block's masks are range-checked in one pass,
-        marked into its boolean rows with one scatter and closed together,
-        so the cost follows the number of masks, O(k 2^n) for k members,
-        not a numpy call per member.  The first row that is no topology is
-        named, with its defect from the O(n 2^n) count of
-        :func:`~ptop.core.topology_defect`, before the failing member's
-        build error, which :func:`~ptop.core._family_mask` words.  One
-        comparison of neighbouring rows then decides nesting.
+        first member first: an earlier member that is no topology is named
+        before a later member's build error, which the mask reader
+        :func:`~ptop.core._mark` words (a non-integer before a mask out of
+        range, the least such mask before the greatest).  Each member is
+        read once, and the members close a block of rows at a time, O(k 2^n)
+        for k members; one comparison of neighbouring rows then decides
+        nesting.
         """
         self._member_tables()
 
@@ -89,26 +78,7 @@ class LevelChain:
         if levels[-1] != 1.0:
             raise InvalidArgument("the last level must be 1")
         tables = np.zeros((len(topologies), 1 << self.n), dtype=bool)
-        for block in _blocks(self.n, len(topologies)):
-            members, sizes, masks = [], [], array("q")  # members as read, the failing one last
-            for topo in topologies[block]:
-                members.append(topo)
-                try:
-                    members[-1] = _collection(topo, "mask family")
-                    masks.fromlist(list(members[-1]))
-                except (PtopError, TypeError, OverflowError):  # no collection, a member no integer, or beyond int64
-                    break
-                sizes.append(len(members[-1]))
-            rows = tables[block]
-            flat = np.frombuffer(masks, dtype=np.int64)
-            row = np.repeat(np.arange(len(sizes)), sizes)  # the row of each mask
-            bad = np.flatnonzero(flat >> self.n)  # negative, or 2^n and above
-            good = bad[0] if bad.size else flat.size
-            built = row[good] if bad.size else len(sizes)
-            rows[row[:good], flat[:good]] = True
-            _check_topologies(self.n, rows[:built], "chain member is not a topology")
-            if built < len(members):
-                _family_mask(self.n, members[built])  # the member that failed: its build error
+        _mark(self.n, tables, topologies, "chain member is not a topology")
         if (tables[1:] & ~tables[:-1]).any():
             raise ChainNotNested("each topology must contain the next one")
         if self.base is not None:
@@ -180,15 +150,12 @@ def reconstruct(chain: LevelChain) -> PSpace:
     plus per-level closure gives the pair inequalities, and the last level
     being 1 gives the boundary axiom.
 
-    Validation (see :meth:`LevelChain.validate`) dominates the cost: one
-    C-level read per listed mask and O(k 2^n) for the k members' closures,
-    with a few numpy calls per block of rows, not per member.  The table
-    is then filled by :func:`_level_table` and converted to the space's
-    tuple once.  The chain of the 16-level n = 20 space in
-    :func:`decompose` takes 0.20-0.31 s.
+    Validation (see :meth:`LevelChain.validate`) dominates the cost, O(k 2^n)
+    for k members; the table is then filled by :func:`_level_table` and
+    converted to the space's tuple once.  The chain of the 16-level n = 20
+    space in :func:`decompose` takes 0.20-0.31 s.
     """
-    if not isinstance(chain, LevelChain):
-        raise InvalidArgument(f"expected a level chain, got {chain!r}")
+    _expect(chain, LevelChain, "a level chain")
     levels, tables = chain._member_tables()
     if chain.base is None and not tables[0].all():
         uncovered = int(np.argmin(tables[0]))  # nesting makes tables[0] the union

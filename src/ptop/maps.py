@@ -18,7 +18,7 @@ from .core import PSpace, _check_table, _hull, _pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
-from .masks import _collection, _index, bits, check_ground_size, check_mask, full_mask
+from .masks import _collection, _expect, _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,6 @@ class PointMap:
                 )
 
 
-def _check_map(f) -> None:
-    """Raise :class:`InvalidArgument` unless ``f`` is a :class:`PointMap`."""
-    if not isinstance(f, PointMap):
-        raise InvalidArgument(f"expected a point map, got {f!r}")
-
-
 def identity_map(n: int) -> PointMap:
     check_ground_size(n)
     return PointMap(n, n, tuple(range(n)))
@@ -59,7 +53,7 @@ def identity_map(n: int) -> PointMap:
 
 def preimage(f: PointMap, b: int) -> int:
     """Mask of domain points whose image lies in ``b``."""
-    _check_map(f)
+    _expect(f, PointMap, "a point map")
     check_mask(b, f.codomain_n)
     out = 0
     for x, y in enumerate(f.image):
@@ -70,8 +64,8 @@ def preimage(f: PointMap, b: int) -> int:
 
 def compose(f: PointMap, g: PointMap) -> PointMap:
     """The map applying ``f`` first, then ``g``."""
-    _check_map(f)
-    _check_map(g)
+    _expect(f, PointMap, "a point map")
+    _expect(g, PointMap, "a point map")
     if f.codomain_n != g.domain_n:
         raise DimensionMismatch(
             f"cannot compose: first map lands in {f.codomain_n} points, "
@@ -129,7 +123,7 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
     preimages of all of them come from one hull table, the OR of the
     preimages of their points, so the whole check is O(2^codomain).
     """
-    _check_map(f)
+    _expect(f, PointMap, "a point map")
     _check_table(p)
     _check_table(q)
     if f.domain_n != p.n or f.codomain_n != q.n:

@@ -2,8 +2,8 @@
 
 Bit i of a mask is set exactly when point i belongs to the subset, which
 fixes a canonical point ordering: file formats and examples are bit-exact.
-The shared argument checks live here too: ground sizes, masks, real numbers
-and probabilities.
+The shared argument checks live here too: ground sizes, masks, real numbers,
+probabilities and object kinds.
 All functions here are pure and safe for unrestricted concurrent use.
 """
 
@@ -62,6 +62,12 @@ def _collection(values, what: str):
         return tuple(values)
     except TypeError:
         raise InvalidArgument(f"{what} must be iterable, got {values!r}") from None
+
+
+def _expect(obj, cls: type, what: str) -> None:
+    """Raise :class:`InvalidArgument` unless ``obj`` is a ``cls``, named ``what`` ("a cover")."""
+    if not isinstance(obj, cls):
+        raise InvalidArgument(f"expected {what}, got {obj!r}")
 
 
 def check_ground_size(n: int) -> None:

@@ -55,6 +55,7 @@ from ptop import (
 )
 from ptop.fileio import _parse_probability_token
 import ptop
+from oracles import brute_topology_defect, is_classical_topology
 
 TOPO = frozenset({0, 3})
 W2 = WeightTable(2, (1.0, 0.0, 0.0, 1.0))
@@ -376,3 +377,104 @@ def test_hostile_arguments_raise_only_ptop_errors_in_a_child():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _raises_part_way(masks):
+    """A one-shot iterator over ``masks`` that raises TypeError after the first one."""
+    yield from masks[:1]
+    raise TypeError("read part-way")
+
+
+# The forms a family of masks takes, made from its masks, and whether the
+# family can be read in full.
+FAMILY_FORMS = [
+    (frozenset, True),
+    (list, True),
+    (tuple, True),
+    (lambda masks: np.array(masks, dtype=np.int64), True),
+    (iter, True),  # read once
+    (_raises_part_way, False),
+]
+# Families on two points: topologies, one that is none, and one out of range.
+FAMILIES = [(0, 1, 2, 3), (0, 1, 3), (0, 3), (0, 1, 2), (0, 3, 4)]
+FULL = frozenset(range(4))
+
+
+def _chain(position, family):
+    """A two-member chain on two points holding ``family`` at ``position``."""
+    members = (family, frozenset({0, 3})) if position == 0 else (FULL, family)
+    return LevelChain(2, (0.5, 1.0), members, 0.0)
+
+
+def _verified(call, accept) -> bool:
+    """True when ``call`` raises a PtopError or returns an object that ``accept`` accepts."""
+    try:
+        out = call()
+    except PtopError:
+        return True
+    return accept(out)
+
+
+def test_mask_readers_raise_or_return_verified_objects():
+    # Each family in each form, alone and at either position of a two-member
+    # chain: a call raises a PtopError or returns an object that passes its
+    # verifier.  A family that cannot be read in full never passes.
+    failures = []
+
+    def expect(name, call, accept):
+        if not _verified(call, accept):
+            failures.append(f"{name} of {masks} in form {form}")
+
+    for masks in FAMILIES:
+        for form, (make, whole) in enumerate(FAMILY_FORMS):
+            ok = whole and all(m < 4 for m in masks)
+            expect(
+                "topology_defect",
+                lambda: topology_defect(2, make(masks)),
+                lambda d: ok and d == brute_topology_defect(2, masks),
+            )
+            expect(
+                "topology_closure",
+                lambda: topology_closure(2, make(masks)),
+                lambda t: ok and topology_defect(2, t) is None,
+            )
+            expect("from_topology", lambda: from_topology(2, make(masks)), lambda p: ok and verify_pairwise(p) == [])
+            for position in (0, 1):
+                tables = [set(t) for t in _chain(position, masks).topologies]
+                nested = all(is_classical_topology(2, t) for t in tables) and tables[1] <= tables[0]
+                expect(f"validate at {position}", lambda: _chain(position, make(masks)).validate(), lambda _: ok and nested)
+                expect(
+                    f"reconstruct at {position}",
+                    lambda: reconstruct(_chain(position, make(masks))),
+                    lambda p: ok and verify_pairwise(p) == [],
+                )
+    assert failures == []
+
+
+class _Counted:
+    """A family of masks that counts how often it is iterated."""
+
+    def __init__(self, masks):
+        self.masks, self.reads = masks, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.masks)
+
+
+@pytest.mark.parametrize("masks", [(0, 1, 3), (0, 1, 2), (0, 1.5, 3), (0, 3, 9), (0, 3, 2**70)])
+def test_each_family_is_iterated_once(masks):
+    # A family's error is worded from the masks read, not by reading it again.
+    for call in (
+        lambda f: topology_defect(2, f),
+        lambda f: topology_closure(2, f),
+        lambda f: from_topology(2, f),
+        lambda f: LevelChain(2, (0.5, 1.0), (f, frozenset({0, 3})), 0.0).validate(),
+        lambda f: reconstruct(LevelChain(2, (0.5, 1.0), (FULL, f), 0.0)),
+    ):
+        family = _Counted(masks)
+        try:
+            call(family)
+        except PtopError:
+            pass
+        assert family.reads == 1

@@ -133,3 +133,29 @@ def test_spaces_are_made_by_one_constructor():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "PSpace"
         ]
     assert offenders == []
+
+
+def test_one_function_reads_mask_families_into_a_buffer():
+    # core._mark is the one reader of mask families: another module importing
+    # `array` or calling np.frombuffer, or another core function doing so,
+    # would be a second reader, with its own fallback and error wording.
+    readers = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id == "array")
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "frombuffer")
+                ):
+                    readers.append(f"{path.stem}.{func.name}")
+        if path.name != "core.py":
+            readers += [
+                f"{path.stem}:{node.lineno} imports array"
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.Import) and any(a.name == "array" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "array")
+            ]
+    assert sorted(set(readers)) == ["core._mark"]
