@@ -77,27 +77,27 @@ from .masks import _check_real, _collection, _expect, _index, bits, check_ground
 PAIRWISE_CAP = 13
 EXHAUSTIVE_CAP = 4
 
-# Cells per chunk when materialising pair grids; bounds peak memory.
-_CHUNK_CELLS = 1 << 22
-# Cells per block of stacked tables of 2^n cells (see _blocks): the per-point
-# tables of the separation and reconstruction folds, and the level-chain and
-# subbasis rows that close together.  Small tables go all at once, an N_MAX
-# table one at a time.
-_FOLD_CELLS = 1 << 20
+# Cells per block of stacked work, which bounds peak memory: the per-point
+# tables of the separation and reconstruction folds, the level-chain and
+# subbasis rows that close together (see _blocks), and the row blocks of the
+# pair scan (see _pair_reports).  Small tables go all at once, an N_MAX table
+# one row at a time.
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
 class WeightTable:
     """A raw value-per-subset assignment; no axioms assumed.
 
-    ``table[mask]`` is the value of the subset encoded by ``mask``.
-    Instances are immutable; the in-range invariant is established by
-    :func:`build` and checked by the verifiers, not by the constructor,
-    so that invalid tables remain representable and testable.  Numpy
-    paths read ``_array()``: a read-only float64 copy of ``table``, made
-    on first use and kept in a slot, out of ``vars()`` (benchmarks/run.py
-    digests spaces through it).  Pickling and copying rebuild from
-    ``(n, table)``, since a set slot cannot be restored.
+    ``table[mask]`` is the value of the subset encoded by ``mask``; ``n``
+    is kept as a plain int.  Instances are immutable; the in-range
+    invariant is established by :func:`build` and checked by the
+    verifiers, not by the constructor, so that invalid tables remain
+    representable and testable.  Numpy paths read ``_array()``: a
+    read-only float64 copy of ``table``, made on first use and kept in a
+    slot, out of ``vars()`` (benchmarks/run.py digests spaces through
+    it).  Pickling and copying rebuild from ``(n, table)``, since a set
+    slot cannot be restored.
     """
 
     __slots__ = ("__dict__", "__weakref__", "_float64")
@@ -106,7 +106,7 @@ class WeightTable:
     table: tuple[float, ...]
 
     def __post_init__(self):
-        check_ground_size(self.n)
+        object.__setattr__(self, "n", check_ground_size(self.n))
         try:
             object.__setattr__(self, "table", tuple(map(float, self.table)))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -130,17 +130,16 @@ class WeightTable:
 
 
 class PSpace(WeightTable):
-    """A weight table satisfying the openness axioms.
+    """A weight table satisfying the openness axioms, checked where it is made.
 
-    Constructing one directly performs no axiom check; instances coming
-    out of :func:`complete`, :func:`from_topology`, :func:`as_pspace`,
-    subspace construction, level-chain reconstruction or generation are
-    valid by construction (the test suite checks reconstruction and
-    subspaces against brute-force oracles), and all of them are made by
-    :func:`_pspace`.  :func:`as_pspace` decides validity in O(n 2^n)
-    through the separation matrix and shares the input's tuple and float64
-    array with its result.
+    The constructor, which copies and pickles go through too, decides the
+    axioms and raises the same :class:`NotAPSpace` as :func:`as_pspace`.
+    Library results are valid by construction, made by :func:`_pspace`.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_axioms(self)
 
 
 def _check_table(w) -> None:
@@ -148,15 +147,15 @@ def _check_table(w) -> None:
     _expect(w, WeightTable, "a weight table")
 
 
-def _pspace(n: int, array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace:
-    """The space on n points whose float64 table is ``array``, valid by construction.
+def _pspace(array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace:
+    """The space whose float64 table is ``array``, of 2^n cells, valid by construction.
 
     ``array`` becomes the space's read-only ``_array()``; ``table``, when
     not given, is converted from it once.  No check runs, and
     ``__post_init__``'s per-entry conversion is skipped.
     """
     p = object.__new__(PSpace)
-    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "n", array.size.bit_length() - 1)
     object.__setattr__(p, "table", tuple(array.tolist()) if table is None else table)
     array.flags.writeable = False
     object.__setattr__(p, "_float64", array)
@@ -210,7 +209,7 @@ def build(n: int, entries: Iterable[tuple[int, float]]) -> WeightTable:
     boundary ones, so invalid boundaries can be written down and caught
     by the verifiers.
     """
-    check_ground_size(n)
+    n = check_ground_size(n)
     size = 1 << n
     table = [0.0] * size
     table[0] = 1.0
@@ -256,8 +255,8 @@ def _out_of_range(t: np.ndarray) -> np.ndarray:
 
 
 def _blocks(n: int, rows: int) -> list[slice]:
-    """Consecutive slices of ``rows`` stacked tables of 2^n cells, at most _FOLD_CELLS cells or one row each."""
-    step = max(1, _FOLD_CELLS >> n)
+    """Consecutive slices of ``rows`` stacked tables of 2^n cells, at most _BLOCK_CELLS cells or one row each."""
+    step = max(1, _BLOCK_CELLS >> n)
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
@@ -318,14 +317,14 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
     returns its second argument, so the part is A only where the minimum
     has t[A]'s bits.  A block takes the columns from its own first row on,
     and holds at most 1/8 as many rows as columns, so at most about 1/16 of
-    its cells have B < A; it spans at most _CHUNK_CELLS cells, or one row.
+    its cells have B < A; it spans at most _BLOCK_CELLS cells, or one row.
     At least 128 rows keep a small candidate set in one block.
     """
     for kind, op in _PAIR_OPS:
         start = 0
         while start < cand.size:
             cols = cand.size - start
-            rows = max(1, min(max(128, cols >> 3), _CHUNK_CELLS // cols))
+            rows = max(1, min(max(128, cols >> 3), _BLOCK_CELLS // cols))
             a = cand[start : start + rows, None]
             b = cand[None, start:]  # pairs with B < A are never reported
             ta = t[a]
@@ -512,14 +511,23 @@ def complete(w: WeightTable) -> PSpace:
     if bad.size:
         mask = int(bad[0])
         raise ProbabilityOutOfRange(f"value {w.table[mask]!r} for mask {mask} not in [0, 1]")
-    return _pspace(w.n, _recon(_separation(t + 0.0, w.n), w.n))
+    return _pspace(_recon(_separation(t + 0.0, w.n), w.n))
 
 
 def as_pspace(w: WeightTable) -> PSpace:
-    """Validate ``w`` and return it as a :class:`PSpace`.
+    """``w`` as a :class:`PSpace`; a space, checked when it was made, is returned as it is.
 
-    Raises :class:`NotAPSpace` carrying the first violation otherwise.
+    Any other table is decided in O(n 2^n) and shares its tuple and array
+    with the result, or raises :class:`NotAPSpace` with the first violation.
     """
+    if isinstance(w, PSpace):
+        return w
+    _check_axioms(w)
+    return _pspace(w._array(), w.table)
+
+
+def _check_axioms(w: WeightTable) -> None:
+    """Raise :class:`NotAPSpace` with the first violation and their count unless ``w`` is a space."""
     violations = verify_pairwise(w)
     if violations:
         first = violations[0]
@@ -529,7 +537,6 @@ def as_pspace(w: WeightTable) -> PSpace:
             f"{len(violations)} violation(s) total",
             violation=first,
         )
-    return _pspace(w.n, w._array(), w.table)
 
 
 def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None:
@@ -578,15 +585,15 @@ def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None
     check_mask(max(masks), n)
 
 
-def _family_mask(n: int, members) -> np.ndarray:
-    """The boolean table over the 2^n subsets that marks ``members``, read by :func:`_mark`.
+def _family_mask(n: int, members) -> tuple[int, np.ndarray]:
+    """``n`` as a plain int, and the boolean table over the 2^n subsets that marks ``members``, read by :func:`_mark`.
 
     ``n`` is checked first, before the table of 2^n entries is made.
     """
-    check_ground_size(n)
+    n = check_ground_size(n)
     member = np.zeros((1, 1 << n), dtype=bool)
     _mark(n, member, (members,))
-    return member[0]
+    return n, member[0]
 
 
 def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:
@@ -686,7 +693,7 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     and again for intersections: the first member with a bad partner is the
     first row of the lexicographic order that holds an escaping pair.
     """
-    return _mask_defect(n, _family_mask(n, opens))
+    return _mask_defect(*_family_mask(n, opens))
 
 
 def _check_topologies(n: int, members: np.ndarray, prefix: str) -> None:
@@ -709,6 +716,6 @@ def from_topology(n: int, opens: Iterable[int]) -> PSpace:
     Under this embedding map continuity in the probabilistic sense
     coincides with classical continuity.
     """
-    member = _family_mask(n, opens)
+    n, member = _family_mask(n, opens)
     _check_topologies(n, member[None], "not a topology")
-    return _pspace(n, member.astype(np.float64))
+    return _pspace(member.astype(np.float64))

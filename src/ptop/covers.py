@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import PSpace, _check_table
+from .core import PSpace, WeightTable, _check_table
 from .errors import DimensionMismatch, DuplicateMask, NotACover
 from .masks import _check_real, _collection, _expect, _index, bits, check_ground_size, check_mask, full_mask
 
@@ -30,7 +30,7 @@ class Cover:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        check_ground_size(self.n)
+        object.__setattr__(self, "n", check_ground_size(self.n))
         members = _collection(self.members, "cover members")
         object.__setattr__(self, "members", tuple(_index(m, "cover member") for m in members))
         seen = set()
@@ -60,7 +60,7 @@ class CoverDefect:
     mask: int | None = None
 
 
-def qcover_witness(p: PSpace, cover: Cover, q: float) -> CoverDefect | None:
+def qcover_witness(p: WeightTable, cover: Cover, q: float) -> CoverDefect | None:
     """None when ``cover`` is a q-cover of ``p``'s ground set, else the defect.
 
     Coverage is checked before member values, so an uncovered point wins
@@ -82,7 +82,7 @@ def qcover_witness(p: PSpace, cover: Cover, q: float) -> CoverDefect | None:
     return None
 
 
-def is_qcover(p: PSpace, cover: Cover, q: float) -> bool:
+def is_qcover(p: WeightTable, cover: Cover, q: float) -> bool:
     return qcover_witness(p, cover, q) is None
 
 
@@ -171,7 +171,7 @@ def min_subcover(cover: Cover) -> Cover:
     return Cover(cover.n, tuple(picks))
 
 
-def disconnection_witness(p: PSpace, q: float) -> tuple[int, int] | None:
+def disconnection_witness(p: WeightTable, q: float) -> tuple[int, int] | None:
     """A two-block partition with both blocks nonempty at value >= q, or None.
 
     The returned witness is the smallest qualifying mask containing point 0,
@@ -187,23 +187,21 @@ def disconnection_witness(p: PSpace, q: float) -> tuple[int, int] | None:
     return (int(hits[0]), full ^ int(hits[0])) if hits.size else None
 
 
-def is_qconnected(p: PSpace, q: float) -> bool:
+def is_qconnected(p: WeightTable, q: float) -> bool:
     """True when no partition into two nonempty blocks has both values >= q."""
     return disconnection_witness(p, q) is None
 
 
-def connectivity_threshold(p: PSpace) -> float:
+def connectivity_threshold(p: WeightTable) -> float:
     """Largest q admitting a disconnecting partition; -inf when none exists.
 
     The space is q-connected exactly for q strictly above the returned
     value; at the threshold itself the maximizing partition still
     disconnects.  Ground sets with at most one point have no partitions
-    and give -inf (connected at every q).
+    and give -inf (connected at every q); a NaN in a partition gives NaN.
     """
     _check_table(p)
-    if p.n <= 1:
-        return float("-inf")
     full = full_mask(p.n)
     t = p._array()
     a = np.arange(1, full, 2, dtype=np.int64)
-    return float(np.minimum(t[a], t[full ^ a]).max())
+    return float(np.minimum(t[a], t[full ^ a]).max(initial=-np.inf))

@@ -87,7 +87,7 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
     containing x.  O(2^n) after marking the seeds, through
     :func:`~ptop.core._closure`.
     """
-    return frozenset(np.nonzero(_closure(n, _family_mask(n, seeds)))[0].tolist())
+    return frozenset(np.nonzero(_closure(*_family_mask(n, seeds)))[0].tolist())
 
 
 def _subbasis(n: int, rng: SplitMix64) -> list[int]:
@@ -97,7 +97,7 @@ def _subbasis(n: int, rng: SplitMix64) -> list[int]:
 
 def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
     """Closure of a random subbasis of up to n+1 subsets."""
-    check_ground_size(n)
+    n = check_ground_size(n)
     _expect(rng, SplitMix64, "a SplitMix64 generator")
     return topology_closure(n, _subbasis(n, rng))
 
@@ -125,7 +125,7 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     The level count is capped at 2^N_MAX, the most distinct values a table
     holds: a larger k raises :class:`CapExceeded` before any draw.
     """
-    check_ground_size(n)
+    n = check_ground_size(n)
     if _index(k, "level count") < 1:
         raise InvalidArgument(f"level count must be at least 1, got {k}")
     if k > 1 << N_MAX:
@@ -144,4 +144,4 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
         base = 0.0
     # When the first topology is the whole powerset, every entry is
     # overwritten by a level and the base goes unused.
-    return _pspace(n, _level_table(n, levels, _chain(n, subbases), base))
+    return _pspace(_level_table(n, levels, _chain(n, subbases), base))

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _check_table, _mark, _pspace, prob
+from .core import PSpace, WeightTable, _check_table, _mark, _pspace, as_pspace, prob
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import ChainNotNested, InvalidArgument, MissingBase, ProbabilityOutOfRange
-from .masks import _check_real, _collection, _expect, check_ground_size, check_mask, check_probability
+from .masks import _check_real, _collection, _expect, check_ground_size, check_probability
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,13 @@ class LevelChain:
         """
         self._member_tables()
 
-    def _member_tables(self) -> tuple[tuple, np.ndarray]:
-        """Validate the chain; return the levels checked and the members as stacked boolean tables.
+    def _member_tables(self) -> tuple[int, tuple, np.ndarray]:
+        """Validate the chain; return the ground size, the levels and the members as stacked boolean tables.
 
         The levels and members are read once, so one-shot iterables pass;
-        the levels are returned as the tuple that was checked.
+        the size comes back a plain int, the levels as the tuple checked.
         """
-        check_ground_size(self.n)
+        n = check_ground_size(self.n)
         levels = tuple(_collection(self.levels, "levels"))  # indexed below, which a set is not
         topologies = tuple(_collection(self.topologies, "topologies"))  # sliced into blocks
         if not levels:
@@ -77,39 +77,39 @@ class LevelChain:
                 raise InvalidArgument("levels must be strictly increasing")
         if levels[-1] != 1.0:
             raise InvalidArgument("the last level must be 1")
-        tables = np.zeros((len(topologies), 1 << self.n), dtype=bool)
-        _mark(self.n, tables, topologies, "chain member is not a topology")
+        tables = np.zeros((len(topologies), 1 << n), dtype=bool)
+        _mark(n, tables, topologies, "chain member is not a topology")
         if (tables[1:] & ~tables[:-1]).any():
             raise ChainNotNested("each topology must contain the next one")
         if self.base is not None:
             _check_real(self.base, "base")
             if not 0.0 <= self.base < levels[0]:
                 raise ProbabilityOutOfRange(f"base {self.base!r} must lie in [0, {levels[0]!r})")
-        return levels, tables
+        return n, levels, tables
 
 
-def level_cut(p: PSpace, q: float) -> frozenset[int]:
-    """The subsets whose value is at least q; always a classical topology."""
+def level_cut(p: WeightTable, q: float) -> frozenset[int]:
+    """The subsets whose value is at least q, of any table; a classical topology when ``p`` is a space."""
     _check_table(p)
     check_probability(q, "threshold")
     return frozenset(np.nonzero(p._array() >= q)[0].tolist())
 
 
-def q_open(p: PSpace, a: int, q: float) -> bool:
+def q_open(p: WeightTable, a: int, q: float) -> bool:
     """The at-most convention: subset ``a`` is q-open when its value is <= q."""
-    _check_table(p)
-    check_mask(a, p.n)
+    value = prob(p, a)
     check_probability(q, "threshold")
-    return prob(p, a) <= q
+    return value <= q
 
 
-def decompose(p: PSpace) -> LevelChain:
+def decompose(p: WeightTable) -> LevelChain:
     """Split a space into its chain of level cuts at the distinct values.
 
     Every distinct nonzero value becomes a level (even when adjacent cuts
     coincide as sets); the value 0, when present, becomes the base, since
     it marks exactly the subsets in no cut other than the trivial one.
-    Round trip is exact: ``reconstruct(decompose(p))`` equals ``p``.
+    Round trip is exact: ``reconstruct(decompose(p))`` equals ``p``.  A
+    table that is no :class:`PSpace` is checked by :func:`as_pspace` first.
 
     One stable argsort of the table gives the levels and every cut: the
     masks valued at least q are a suffix of the sorted order.  The top cut
@@ -117,11 +117,9 @@ def decompose(p: PSpace) -> LevelChain:
     with the masks valued exactly at its level, so the work is one copy per
     cut member, the cuts share one int object per mask, and no 2^n row is
     made per level.  On a shared 2-core VM, a 16-level space at n = 20
-    with 3.1 M cut members takes 0.17-0.25 s.  A value outside [0, 1],
-    NaN included, raises :class:`ProbabilityOutOfRange` before any cut is
-    made, naming the first such level in ascending order, NaN last.
+    with 3.1 M cut members takes 0.17-0.25 s.
     """
-    _check_table(p)
+    p = as_pspace(p)
     t = p._array()
     order = np.argsort(t, kind="stable")  # np.unique would import numpy.ma on its first call
     values = t[order]
@@ -129,8 +127,6 @@ def decompose(p: PSpace) -> LevelChain:
     first[1:] = values[1:] != values[:-1]
     starts = np.flatnonzero(first & (values != 0.0))
     levels = tuple(values[starts].tolist())
-    for q in levels:
-        check_probability(q, "threshold")
     masks = order.tolist()
     cut, cuts, end = frozenset(), [], values.size
     for start in reversed(starts.tolist()):
@@ -156,12 +152,12 @@ def reconstruct(chain: LevelChain) -> PSpace:
     space in :func:`decompose` takes 0.20-0.31 s.
     """
     _expect(chain, LevelChain, "a level chain")
-    levels, tables = chain._member_tables()
+    n, levels, tables = chain._member_tables()
     if chain.base is None and not tables[0].all():
         uncovered = int(np.argmin(tables[0]))  # nesting makes tables[0] the union
         raise MissingBase(f"subset {uncovered} is in no topology and no base is set")
     base = 0.0 if chain.base is None else chain.base
-    return _pspace(chain.n, _level_table(chain.n, levels, tables, base))
+    return _pspace(_level_table(n, levels, tables, base))
 
 
 def _level_table(n: int, levels, members, base: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _check_table, _hull, _pspace
+from .core import PSpace, WeightTable, _check_table, _hull, _pspace, as_pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
@@ -30,8 +30,8 @@ class PointMap:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        check_ground_size(self.domain_n)
-        check_ground_size(self.codomain_n)
+        object.__setattr__(self, "domain_n", check_ground_size(self.domain_n))
+        object.__setattr__(self, "codomain_n", check_ground_size(self.codomain_n))
         image = _collection(self.image, "image")
         object.__setattr__(self, "image", tuple(_index(y, "image") for y in image))
         if len(self.image) != self.domain_n:
@@ -47,7 +47,7 @@ class PointMap:
 
 
 def identity_map(n: int) -> PointMap:
-    check_ground_size(n)
+    n = check_ground_size(n)
     return PointMap(n, n, tuple(range(n)))
 
 
@@ -55,11 +55,7 @@ def preimage(f: PointMap, b: int) -> int:
     """Mask of domain points whose image lies in ``b``."""
     _expect(f, PointMap, "a point map")
     check_mask(b, f.codomain_n)
-    out = 0
-    for x, y in enumerate(f.image):
-        if b >> y & 1:
-            out |= 1 << x
-    return out
+    return sum(1 << x for x, y in enumerate(f.image) if b >> y & 1)
 
 
 def compose(f: PointMap, g: PointMap) -> PointMap:
@@ -76,12 +72,12 @@ def compose(f: PointMap, g: PointMap) -> PointMap:
 
 def inclusion_map(y: int, n: int) -> PointMap:
     """The inclusion of the subspace ``y``, points renumbered in mask order."""
-    check_ground_size(n)
+    n = check_ground_size(n)
     check_mask(y, n)
     return PointMap(y.bit_count(), n, tuple(bits(y)))
 
 
-def subspace_prob(p: PSpace, y: int, a: int) -> float:
+def subspace_prob(p: WeightTable, y: int, a: int) -> float:
     """Trace value of ``a`` inside the subspace ``y``.
 
     The maximum of ``p`` over all ambient subsets whose intersection with
@@ -97,7 +93,7 @@ def subspace_prob(p: PSpace, y: int, a: int) -> float:
     return float(np.fmax.reduce(p._array()[a | outside], initial=0.0) + 0.0)
 
 
-def subspace(p: PSpace, y: int) -> PSpace:
+def subspace(p: WeightTable, y: int) -> PSpace:
     """The subspace on the points of ``y``, carrying the trace of ``p``.
 
     Ground size is ``|y|`` with points renumbered by :func:`~ptop.masks.compress`,
@@ -106,15 +102,16 @@ def subspace(p: PSpace, y: int) -> PSpace:
     outside ``y``; flattening what is left in C order lists the trace in
     compressed-mask order, in O(2^n).  Zeros come out as +0.0, so taking
     ``y`` to be the full mask returns ``p``'s table with -0.0 read as 0.0.
+    A table that is no :class:`PSpace` is checked by :func:`as_pspace` first.
     """
-    _check_table(p)
+    p = as_pspace(p)
     check_mask(y, p.n)
     cube = p._array().reshape((2,) * p.n)
     outside = tuple(p.n - 1 - i for i in range(p.n) if not y >> i & 1)
-    return _pspace(y.bit_count(), cube.max(axis=outside).ravel() + 0.0)
+    return _pspace(cube.max(axis=outside).ravel() + 0.0)
 
 
-def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
+def continuity_witness(f: PointMap, p: WeightTable, q: WeightTable) -> int | None:
     """The smallest codomain mask violating continuity, or None if continuous.
 
     ``f`` is continuous from ``p`` to ``q`` when every codomain subset's
@@ -139,6 +136,6 @@ def continuity_witness(f: PointMap, p: PSpace, q: PSpace) -> int | None:
     return first if bad[first] else None
 
 
-def is_pcontinuous(f: PointMap, p: PSpace, q: PSpace) -> bool:
+def is_pcontinuous(f: PointMap, p: WeightTable, q: WeightTable) -> bool:
     """True when ``f`` is continuous from ``p`` to ``q``."""
     return continuity_witness(f, p, q) is None

@@ -70,7 +70,8 @@ def _expect(obj, cls: type, what: str) -> None:
         raise InvalidArgument(f"expected {what}, got {obj!r}")
 
 
-def check_ground_size(n: int) -> None:
+def check_ground_size(n: int) -> int:
+    """``n`` as a plain int, when it is a ground size in [0, max_ground_size()]; bools and numpy integers pass."""
     if type(n) is not int:  # plain ints skip the call
         n = _index(n, "ground size")
     if n < 0:
@@ -78,6 +79,7 @@ def check_ground_size(n: int) -> None:
     cap = max_ground_size()
     if n > cap:
         raise CapExceeded(f"ground size {n} exceeds cap {cap}")
+    return n
 
 
 def check_mask(mask: int, n: int) -> None:
@@ -116,8 +118,7 @@ def check_probability(q: float, what: str) -> None:
 
 
 def full_mask(n: int) -> int:
-    check_ground_size(n)
-    return (1 << n) - 1
+    return (1 << check_ground_size(n)) - 1
 
 
 def _non_negative(mask: int) -> int:
@@ -159,7 +160,8 @@ def is_partition(a: int, b: int, n: int) -> bool:
 
     Either side may be empty; whoever needs non-emptiness checks it separately.
     """
-    full = full_mask(n)
+    n = check_ground_size(n)
+    full = (1 << n) - 1
     check_mask(a, n)
     check_mask(b, n)
     return (a | b) == full and (a & b) == 0

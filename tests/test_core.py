@@ -443,6 +443,28 @@ def test_as_pspace():
     assert err.value.violation.kind == "boundary"
 
 
+def test_the_constructor_decides_the_axioms_as_as_pspace_does():
+    # Boundary and union violations; the space once made, and its copies,
+    # pickles and replacements, all pass the constructor's check.
+    w = WeightTable(2, (1.0, 0.5, 0.9, 0.3))
+    messages = []
+    for call in (lambda: as_pspace(w), lambda: PSpace(w.n, w.table), lambda: dataclasses.replace(P1, table=w.table)):
+        with pytest.raises(NotAPSpace) as err:
+            call()
+        messages.append((str(err.value), repr(err.value.violation)))
+    assert messages == [messages[0]] * 3
+    assert messages[0][0].endswith("; 2 violation(s) total")
+    p = PSpace(2, P1.table)
+    assert p == P1 and as_pspace(p) is p
+    assert _unpickled(p) == copy.deepcopy(p) == dataclasses.replace(p, table=P1.table) == p
+    # A dense invalid table above the listing cap has no violation count.
+    dense = [0.5] * (1 << 14)
+    dense[0] = dense[-1] = 1.0
+    dense[0b11] = 0.25
+    with pytest.raises(CapExceeded):
+        PSpace(14, dense)
+
+
 def test_zero_one_spaces_are_topologies_both_ways():
     p = from_topology(2, [0b00, 0b01, 0b11])
     assert set(p.table) <= {0.0, 1.0}
@@ -515,11 +537,11 @@ def _kernel_values(rng, count, palette):
     return [palette[rng.below(len(palette))] for _ in range(count)]
 
 
-@pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 16], ids=["default", "16"])
+@pytest.mark.parametrize("fold_cells", [ptop.core._BLOCK_CELLS, 16], ids=["default", "16"])
 def test_separation_and_recon_match_brute_force(monkeypatch, fold_cells):
     # At 16 cells per fold block, every n >= 4 folds its points in several
     # blocks; at the default, every n here folds them in one.
-    monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
+    monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", fold_cells)
     rng = rng_for(1111)
     for n in range(11):
         for palette in KERNEL_PALETTES:
@@ -665,7 +687,7 @@ def test_verify_lists_lowered_entry_violations_across_chunks():
         lowered = list(table)
         lowered[m] = 0.0
         candidates = sum(v > 0.0 for v in lowered)
-        assert candidates > ptop.core._CHUNK_CELLS // candidates
+        assert candidates > ptop.core._BLOCK_CELLS // candidates
         expected = []
         for kind in ("union", "intersection"):
             for a in range(1 << n):
@@ -686,7 +708,7 @@ def test_pair_scans_match_brute_force_across_small_chunks(monkeypatch):
     # Defect naming runs in no chunks; the families below check its first
     # escaping pairs against the plain loops, some in rows past the first
     # that 64 cells would hold.
-    monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", 64)
     rng = rng_for(1212)
     most = 0
     for n in range(8):
@@ -717,7 +739,7 @@ def test_pair_scan_bands_match_brute_force(monkeypatch, chunk_cells):
     # columns need over 1,024 candidates; the lowered-entry test at n = 12
     # runs in those.
     if chunk_cells is not None:
-        monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", chunk_cells)
     rng = rng_for(1313)
     for _ in range(3):
         w = random_weight_table(8, rng, (0.1, 0.4, 0.7, 1.0))
@@ -749,7 +771,7 @@ def test_pair_reports_share_the_tables_values(monkeypatch, chunk_cells):
     # every other value, so -0.5 is an out-of-range candidate, and every
     # entry is its own object, so identity names the entry.
     if chunk_cells is not None:
-        monkeypatch.setattr(ptop.core, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", chunk_cells)
     rng = rng_for(1919)
     palette = ("-1.0", "-0.5", "-0.0", "0.0", "0.5", "1.0", "nan")
     ties = out_of_range = 0
@@ -797,11 +819,15 @@ def _unpickled(x):
     return pickle.loads(pickle.dumps(x))
 
 
-@pytest.mark.parametrize("cls", [WeightTable, PSpace])
-def test_the_float64_array_stays_out_of_the_instance(cls):
-    nan = float("nan")
-    w = cls(2, (1.0, -0.0, nan, 1.0))
-    twin = cls(2, w.table)  # the same NaN object, and no array made
+@pytest.mark.parametrize(
+    "cls, values",
+    [(WeightTable, (1.0, -0.0, float("nan"), 1.0)), (PSpace, (1.0, -0.0, 0.5, 1.0))],
+    ids=["WeightTable", "PSpace"],
+)
+def test_the_float64_array_stays_out_of_the_instance(cls, values):
+    # A space must be valid, so it holds -0.0 and no NaN.
+    w = cls(2, values)
+    twin = cls(2, w.table)  # the same float objects, a NaN's included
     plain = cls(2, (1.0, 0.5, 0.25, 1.0))
     before = [(repr(x), hash(x)) for x in (w, plain)]
     t = w._array()

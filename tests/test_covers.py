@@ -12,7 +12,6 @@ from ptop import (
     DimensionMismatch,
     DuplicateMask,
     NotACover,
-    PSpace,
     as_pspace,
     build,
     connectivity_threshold,
@@ -70,12 +69,11 @@ def test_qcover_monotone_downward_in_q():
 @settings(max_examples=100, deadline=None)
 @given(many_level_spaces(), st.data())
 def test_qcover_monotone_downward_in_q_on_many_level_spaces(w, data):
-    p = PSpace(w.n, w.table)
-    cover = Cover(p.n, tuple(data.draw(st.sets(st.integers(0, (1 << p.n) - 1), max_size=3))))
+    cover = Cover(w.n, tuple(data.draw(st.sets(st.integers(0, (1 << w.n) - 1), max_size=3))))
     level = st.sampled_from(PALETTE_LEVELS) | st.floats(0, 1)
     lo, hi = sorted((data.draw(level), data.draw(level)))
-    if is_qcover(p, cover, hi):
-        assert is_qcover(p, cover, lo)
+    if is_qcover(w, cover, hi):
+        assert is_qcover(w, cover, lo)
 
 
 def test_qcompact_is_trivially_true():
@@ -226,7 +224,7 @@ def test_connectivity_matches_brute_force():
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(many_level_spaces(max_n=6), spiked_tables(max_n=6)))
 def test_connectivity_matches_brute_force_on_many_level_spaces(w):
-    _check_connectivity(PSpace(w.n, w.table))
+    _check_connectivity(w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,6 +235,6 @@ def test_connectedness_monotone_in_q(n, seed, data):
     q2 = data.draw(st.floats(0, 1))
     lo, hi = min(q1, q2), max(q1, q2)
     w = data.draw(many_level_spaces(max_n=6))
-    for space in (p, PSpace(w.n, w.table)):
+    for space in (p, w):
         if is_qconnected(space, lo):
             assert is_qconnected(space, hi)

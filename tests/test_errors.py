@@ -7,6 +7,7 @@ import subprocess
 import sys
 from typing import Iterator
 
+from hypothesis import given, settings
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from ptop import (
     MaskOutOfRange,
     N_MAX,
     PointMap,
+    PSpace,
     ProbabilityOutOfRange,
     PtopError,
     SplitMix64,
@@ -33,6 +35,9 @@ from ptop import (
     disconnection_witness,
     format_probability,
     full_mask,
+    identity_map,
+    inclusion_map,
+    is_partition,
     level_cut,
     min_subcover,
     parse_mask_token,
@@ -48,6 +53,7 @@ from ptop import (
     serialize_pmap,
     serialize_pspace,
     submasks,
+    subspace,
     subspace_prob,
     topology_closure,
     topology_defect,
@@ -55,7 +61,7 @@ from ptop import (
 )
 from ptop.fileio import _parse_probability_token
 import ptop
-from oracles import brute_topology_defect, is_classical_topology
+from oracles import brute_topology_defect, is_classical_topology, spiked_tables
 
 TOPO = frozenset({0, 3})
 W2 = WeightTable(2, (1.0, 0.0, 0.0, 1.0))
@@ -407,12 +413,15 @@ def _chain(position, family):
 
 
 def _verified(call, accept) -> bool:
-    """True when ``call`` raises a PtopError or returns an object that ``accept`` accepts."""
+    """True when ``call`` raises a PtopError or returns an object that ``accept`` accepts without raising one."""
     try:
         out = call()
     except PtopError:
         return True
-    return accept(out)
+    try:
+        return accept(out)
+    except PtopError:
+        return False
 
 
 def test_mask_readers_raise_or_return_verified_objects():
@@ -478,3 +487,147 @@ def test_each_family_is_iterated_once(masks):
         except PtopError:
             pass
         assert family.reads == 1
+
+
+def _is_space(p) -> bool:
+    """``p`` is a valid space with a plain int size, and its text reads back as it."""
+    back = as_pspace(parse_pspace(serialize_pspace(p)))
+    return type(p) is PSpace and type(p.n) is int and verify_pairwise(p) == [] and back == p
+
+
+def _is_chain(chain) -> bool:
+    chain.validate()
+    return type(chain) is LevelChain and type(chain.n) is int
+
+
+def _is_cover(cover) -> bool:
+    return type(cover.n) is int and Cover(cover.n, cover.members) == cover
+
+
+def _is_map(f) -> bool:
+    sizes = type(f.domain_n) is int and type(f.codomain_n) is int
+    return sizes and parse_pmap(serialize_pmap(f)) == f
+
+
+def output_failures(n, table) -> list[str]:
+    """Each call made from the table (n, table) that returns an object failing its verifier.
+
+    Every public callable that returns a space, a level chain, a cover or a
+    point map gets the table, its level cuts and its masks; each call must
+    raise a PtopError or return an object that passes its verifier above.
+    """
+    failures = []
+
+    def expect(name, call, accept):
+        try:
+            ok = _verified(call, accept)
+        except Exception as exc:  # an error that is no PtopError
+            ok = exc
+        if ok is not True:
+            failures.append(f"{name} of ({n!r}, {table!r}){'' if ok is False else f': {ok!r}'}")
+
+    w = WeightTable(n, table)
+    size = len(table)
+    levels = tuple(sorted({v for v in table if 0.0 < v <= 1.0}))
+    cuts = tuple(level_cut(w, q) for q in levels)
+    expect("PSpace", lambda: PSpace(n, table), _is_space)
+    expect("as_pspace", lambda: as_pspace(w), _is_space)
+    expect("complete", lambda: complete(w), _is_space)
+    expect("decompose", lambda: decompose(w), lambda c: _is_chain(c) and reconstruct(c) == as_pspace(w))
+    expect("reconstruct", lambda: reconstruct(LevelChain(n, levels, cuts, 0.0 if 0.0 in table else None)), _is_space)
+    expect("random_pspace", lambda: random_pspace(n, 3, size), _is_space)
+    expect("identity_map", lambda: identity_map(n), _is_map)
+    for cut in cuts:
+        expect("from_topology", lambda: from_topology(n, cut), _is_space)
+        expect("Cover", lambda: Cover(n, sorted(cut)), _is_cover)
+        expect("min_subcover", lambda: min_subcover(Cover(n, sorted(cut))), _is_cover)
+    for y in range(size):
+        expect("subspace", lambda: subspace(w, y), _is_space)
+        expect("inclusion_map", lambda: inclusion_map(y, n), _is_map)
+        expect("compose", lambda: compose(inclusion_map(y, n), identity_map(n)), _is_map)
+        expect("PointMap", lambda: PointMap(n, y.bit_count(), [0] * n if y else []), _is_map)
+        expect("parse_pmap", lambda: parse_pmap(serialize_pmap(inclusion_map(y, n))), _is_map)
+    return failures
+
+
+# The names output_failures calls: every public callable returning a space, a
+# cover or a point map, and decompose.  LevelChain(...) is left out: like
+# WeightTable(...), it records its arguments, and validate() checks them.
+OUTPUT_SWEPT = {
+    "PSpace", "as_pspace", "complete", "decompose", "reconstruct", "random_pspace", "identity_map",
+    "from_topology", "Cover", "min_subcover", "subspace", "inclusion_map", "compose", "PointMap",
+    "parse_pmap",
+}
+# Seeded valid spaces, then edge tables: signed zeros, ties, n = 0 and 1,
+# bool and numpy sizes, and tables that fail the axioms.
+OUTPUT_TABLES = [
+    *((n, random_pspace(n, k, 2200 + n).table) for n, k in ((0, 1), (1, 2), (2, 3), (3, 3), (4, 5))),
+    (0, (1.0,)),
+    (1, (1.0, 1.0)),
+    (True, (1.0, 1.0)),
+    (np.int64(1), (1.0, -0.0)),
+    (np.uint8(2), (1.0, 0.5, 0.5, 1.0)),
+    (2, (1.0, -0.0, 0.0, 1.0)),
+    (2, (-0.0, 0.5, 0.5, 1.0)),
+    (2, (1.0, 0.5, 0.9, 0.3)),
+    (3, (1.0, 0.5, 0.5, 0.5, -0.0, 0.5, 0.0, 1.0)),
+    (3, (1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0)),
+]
+
+
+def test_the_output_sweep_covers_every_callable_returning_a_checked_object():
+    kinds = {"PSpace", "LevelChain", "Cover", "PointMap"}
+    returning = {
+        name
+        for name, obj in vars(ptop).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and (name in kinds - {"LevelChain"} or getattr(obj, "__annotations__", {}).get("return") in kinds)
+    }
+    assert returning == OUTPUT_SWEPT
+
+
+def test_outputs_pass_their_verifiers_on_seeded_and_edge_tables():
+    assert [f for n, table in OUTPUT_TABLES for f in output_failures(n, table)] == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(spiked_tables(max_n=4))
+def test_outputs_pass_their_verifiers_on_spiked_tables(w):
+    assert output_failures(w.n, w.table) == []
+
+
+def test_ground_sizes_are_stored_as_plain_ints():
+    one = frozenset({0, 1})
+    p = reconstruct(LevelChain(True, (1.0,), (one,), None))
+    assert serialize_pspace(p) == "ptop 1\nn 1\n" and as_pspace(parse_pspace(serialize_pspace(p))) == p
+    for x, sizes in [
+        (p, ("n",)),
+        (WeightTable(True, (1.0, 1.0)), ("n",)),
+        (PSpace(np.int64(1), (1.0, 1.0)), ("n",)),
+        (from_topology(True, one), ("n",)),
+        (random_pspace(np.uint8(3), 2, 1), ("n",)),
+        (Cover(np.int64(2), (3,)), ("n",)),
+        (PointMap(np.int64(2), True, (0, 0)), ("domain_n", "codomain_n")),
+        (inclusion_map(1, np.int32(2)), ("domain_n", "codomain_n")),
+    ]:
+        assert all(type(getattr(x, size)) is int for size in sizes), x
+
+
+def test_a_numpy_ground_size_acts_as_its_value():
+    # 1 << np.uint8(8) is 0 in numpy's arithmetic, so every use of a ground
+    # size must take the plain int that check_ground_size returns.
+    chain = ((1.0,), (frozenset({0, 255}),))
+    for call in (
+        lambda n: build(n, [(255, 0.5)]),
+        full_mask,
+        lambda n: is_partition(15, 240, n),
+        lambda n: inclusion_map(255, n),
+        lambda n: topology_defect(n, [0, 1, 255]),
+        lambda n: from_topology(n, [0, 255]),
+        lambda n: topology_closure(n, [1]),
+        lambda n: random_topology(n, SplitMix64(1)),
+        lambda n: random_pspace(n, 2, 1),
+        lambda n: reconstruct(LevelChain(n, *chain, 0.0)),
+    ):
+        assert call(np.uint8(8)) == call(8)

@@ -152,11 +152,11 @@ def test_generator_output_bytes_are_pinned():
 CHAIN_GRID_SHA256 = "c202a0f03accb0011f46641173b69ae7d6b1bd05a9595ad2f77e465b3902fea7"
 
 
-@pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 1 << 6], ids=["default", "64"])
+@pytest.mark.parametrize("fold_cells", [ptop.core._BLOCK_CELLS, 1 << 6], ids=["default", "64"])
 def test_generated_chains_are_pinned(monkeypatch, fold_cells):
     # At 64 cells per block, chains from n = 6 up close one row at a time,
     # and longer chains below that in several blocks.
-    monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
+    monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", fold_cells)
     digest = hashlib.sha256()
     for n in range(13):
         for k in (1, 2, 6, 9):

@@ -13,10 +13,12 @@ from ptop import (
     LevelChain,
     MaskOutOfRange,
     MissingBase,
+    NotAPSpace,
     NotATopology,
     ProbabilityOutOfRange,
     PSpace,
     PtopError,
+    WeightTable,
     as_pspace,
     build,
     from_topology,
@@ -196,10 +198,8 @@ def test_decompose_cuts_are_level_cuts_on_generated_spaces():
         (1, (1.0, 1.0)),
         (2, (1.0, -0.0, 0.0, 1.0)),
         (2, (1.0, 0.0, -0.0, 1.0)),
-        (2, (-0.0, 0.5, 0.5, 1.0)),
         (3, (1.0, 0.5, 0.5, 0.5, -0.0, 0.5, 0.0, 1.0)),
         (3, (1.0, 0.25, 0.75, 0.25, 0.75, 0.25, 0.75, 1.0)),
-        (2, (0.0, 0.0, -0.0, 0.0)),
     ],
 )
 def test_decompose_cuts_are_level_cuts_on_signed_zeros_and_ties(n, table):
@@ -221,12 +221,11 @@ def test_q_open_monotone(n, seed, data):
 @settings(max_examples=150, deadline=None)
 @given(many_level_spaces(max_n=6))
 def test_cuts_and_roundtrip_on_many_level_spaces(w):
-    p = PSpace(w.n, w.table)
-    for q in sorted(set(p.table)):
-        assert is_classical_topology(p.n, level_cut(p, q))
-    assert_decomposed_into_level_cuts(p)
-    back = reconstruct(decompose(p))
-    assert back == p
+    for q in sorted(set(w.table)):
+        assert is_classical_topology(w.n, level_cut(w, q))
+    assert_decomposed_into_level_cuts(w)
+    back = reconstruct(decompose(w))
+    assert back == as_pspace(w)
     assert verify_pairwise(back) == []
 
 
@@ -331,7 +330,7 @@ def chain_members_outcome(n, forms, topos):
     return None
 
 
-@pytest.mark.parametrize("fold_cells", [ptop.core._FOLD_CELLS, 16], ids=["default", "16"])
+@pytest.mark.parametrize("fold_cells", [ptop.core._BLOCK_CELLS, 16], ids=["default", "16"])
 def test_chain_members_are_checked_in_order(monkeypatch, fold_cells):
     # Chains of random topologies, some with a mask toggled, some not nested
     # and some holding a member that fails to build (a mask out of range or
@@ -340,7 +339,7 @@ def test_chain_members_are_checked_in_order(monkeypatch, fold_cells):
     # are decided a block at a time, but the error must be that of checking
     # them one at a time, first member first, then nesting.  At 16 cells per
     # block, chains from n = 3 up close in several blocks.
-    monkeypatch.setattr(ptop.core, "_FOLD_CELLS", fold_cells)
+    monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", fold_cells)
     rng = rng_for(1617)
     for _ in range(300):
         n, k = 1 + rng.below(4), 1 + rng.below(4)
@@ -372,27 +371,37 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "n, table, message",
+    "n, table",
     [
-        (2, (1.0, NAN, 0.5, 1.0), "threshold nan not in [0, 1]"),
-        (2, (NAN, 0.5, 0.25, 1.0), "threshold nan not in [0, 1]"),
-        (2, (1.0, -0.5, 0.5, 1.0), "threshold -0.5 not in [0, 1]"),
-        (2, (1.0, -0.25, -0.5, 1.0), "threshold -0.5 not in [0, 1]"),
-        (2, (1.0, 1.5, -0.0, 1.0), "threshold 1.5 not in [0, 1]"),
-        (2, (1.0, 2.0, 1.5, 1.0), "threshold 1.5 not in [0, 1]"),
-        (2, (1.0, float("inf"), 0.5, 1.0), "threshold inf not in [0, 1]"),
-        # NaN sorts last, so another bad value is named whatever the table order
-        (2, (1.0, NAN, -0.5, 1.0), "threshold -0.5 not in [0, 1]"),
-        (2, (NAN, 1.5, NAN, 1.0), "threshold 1.5 not in [0, 1]"),
-        (2, (1.0, float("inf"), NAN, 1.0), "threshold inf not in [0, 1]"),
+        (2, (1.0, NAN, 0.5, 1.0)),
+        (2, (NAN, 0.5, 0.25, 1.0)),
+        (2, (1.0, -0.5, 0.5, 1.0)),
+        (2, (1.0, -0.25, -0.5, 1.0)),
+        (2, (1.0, 1.5, -0.0, 1.0)),
+        (2, (1.0, 2.0, 1.5, 1.0)),
+        (2, (1.0, float("inf"), 0.5, 1.0)),
+        (2, (1.0, NAN, -0.5, 1.0)),
+        (2, (NAN, 1.5, NAN, 1.0)),
+        (2, (1.0, float("inf"), NAN, 1.0)),
+        # boundaries at -0.0 and 0.0
+        (2, (-0.0, 0.5, 0.5, 1.0)),
+        (2, (0.0, 0.0, -0.0, 0.0)),
     ],
 )
-def test_decompose_of_an_unchecked_space_out_of_range_names_its_first_level(n, table, message):
-    # The cuts come from one comparison, but a value outside [0, 1] must still
-    # raise, naming the first offending level in ascending order.
-    with pytest.raises(ProbabilityOutOfRange) as err:
-        decompose(PSpace(n, table))
-    assert str(err.value) == message
+def test_decompose_of_an_invalid_table_raises_not_a_pspace(n, table):
+    # A table that is no space is refused where a space is made, by
+    # decompose as by the constructor, with as_pspace's message; its level
+    # cuts are still the masks valued at least each in-range value.
+    w = WeightTable(n, table)
+    with pytest.raises(NotAPSpace) as expected:
+        as_pspace(w)
+    for call in (lambda: decompose(w), lambda: PSpace(n, table)):
+        with pytest.raises(NotAPSpace) as err:
+            call()
+        assert str(err.value) == str(expected.value)
+        assert repr(err.value.violation) == repr(expected.value.violation)
+    for q in {v for v in table if 0.0 <= v <= 1.0}:
+        assert level_cut(w, q) == {m for m, v in enumerate(table) if v >= q}
 
 
 @pytest.mark.parametrize(
@@ -406,10 +415,14 @@ def test_decompose_of_an_unchecked_space_out_of_range_names_its_first_level(n, t
     ],
 )
 def test_reconstruct_of_a_decomposed_invalid_space_names_its_defect(n, table, defect):
-    # reconstruct closes all cuts in one pass; it must still name the first
-    # cut that is no topology.
+    # The chain of an invalid table's level cuts, as decompose would split a
+    # space: reconstruct closes all cuts in one pass; it must still name the
+    # first cut that is no topology.
+    w = WeightTable(n, table)
+    levels = tuple(sorted(set(table) - {0.0}))
+    cuts = tuple(level_cut(w, q) for q in levels)
     with pytest.raises(NotATopology) as err:
-        reconstruct(decompose(PSpace(n, table)))
+        reconstruct(LevelChain(n, levels, cuts, 0.0 if 0.0 in table else None))
     assert err.value.defect == defect
     assert str(err.value) == "chain member is not a topology: " + " ".join(map(str, defect))
 

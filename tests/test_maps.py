@@ -84,7 +84,7 @@ def test_subspace_prob_matches_brute_force():
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(many_level_spaces(max_n=6), spiked_tables(max_n=6)), st.data())
 def test_subspace_prob_matches_brute_force_on_many_level_spaces(w, data):
-    _check_subspace_prob(PSpace(w.n, w.table), data.draw(st.integers(0, full_mask(w.n))))
+    _check_subspace_prob(w, data.draw(st.integers(0, full_mask(w.n))))
 
 
 def test_subspace_examples():
@@ -133,11 +133,10 @@ def test_continuity_examples():
 
 @settings(max_examples=300, deadline=None)
 @given(many_level_spaces(max_n=6), many_level_spaces(max_n=6), st.data())
-def test_continuity_matches_brute_force_on_many_level_spaces(w, v, data):
+def test_continuity_matches_brute_force_on_many_level_spaces(w, q, data):
     # Random and constant maps between ground sizes drawn apart; only the
     # space on no points maps into a codomain on no points.
-    q = PSpace(v.n, v.table)
-    p = PSpace(w.n, w.table) if q.n else PSpace(0, (1.0,))
+    p = w if q.n else WeightTable(0, (1.0,))
     point = st.integers(0, max(q.n - 1, 0))
     if data.draw(st.booleans()):
         image = (data.draw(point),) * p.n
@@ -177,9 +176,8 @@ def test_inclusion_is_continuous_for_subspaces():
 @settings(max_examples=100, deadline=None)
 @given(many_level_spaces(max_n=6), st.data())
 def test_inclusion_is_continuous_for_subspaces_on_many_level_spaces(w, data):
-    p = PSpace(w.n, w.table)
-    y = data.draw(st.integers(0, full_mask(p.n)))
-    assert continuity_witness(inclusion_map(y, p.n), subspace(p, y), p) is None
+    y = data.draw(st.integers(0, full_mask(w.n)))
+    assert continuity_witness(inclusion_map(y, w.n), subspace(w, y), w) is None
 
 
 def _pullback_table(f: PointMap, target) -> WeightTable:
@@ -217,8 +215,7 @@ def test_composition_preserves_continuity():
 
 @settings(max_examples=100, deadline=None)
 @given(many_level_spaces(max_n=4), st.integers(0, 4), st.integers(1, 4), st.data())
-def test_composition_preserves_continuity_on_many_level_spaces(w, nx, ny, data):
-    r = PSpace(w.n, w.table)
+def test_composition_preserves_continuity_on_many_level_spaces(r, nx, ny, data):
     if not r.n:
         return  # no map from a nonempty ground set into the empty one
     g = PointMap(ny, r.n, tuple(data.draw(st.lists(st.integers(0, r.n - 1), min_size=ny, max_size=ny))))

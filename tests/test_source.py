@@ -123,7 +123,8 @@ def test_only_core_turns_a_table_into_an_array():
 def test_spaces_are_made_by_one_constructor():
     # Every PSpace the library hands out is valid by construction and is made
     # by core._pspace, which converts the result once and calls no PSpace(...):
-    # that call would convert the table a second time in __post_init__.
+    # that call would convert the table a second time in __post_init__, and
+    # decide the axioms again.
     offenders = []
     for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
