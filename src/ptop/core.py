@@ -133,7 +133,7 @@ class PSpace(WeightTable):
     """A weight table satisfying the openness axioms, checked where it is made.
 
     The constructor, which copies and pickles go through too, decides the
-    axioms and raises the same :class:`NotAPSpace` as :func:`as_pspace`.
+    axioms in O(n 2^n) and raises :func:`as_pspace`'s :class:`NotAPSpace`.
     Library results are valid by construction, made by :func:`_pspace`.
     """
 
@@ -162,9 +162,6 @@ def _pspace(array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace
     return p
 
 
-Kind = Literal["range", "boundary", "union", "intersection"]
-
-
 @dataclass(frozen=True)
 class ViolationReport:
     """One axiom violation found by :func:`verify_pairwise`.
@@ -179,7 +176,7 @@ class ViolationReport:
     the pair is ``(value, 1.0)``; for a NaN it is ``(1.0, nan)``).
     """
 
-    kind: Kind
+    kind: Literal["range", "boundary", "union", "intersection"]
     witness_a: int
     witness_b: int | None
     required: float
@@ -240,18 +237,23 @@ def prob(p: WeightTable, a: int) -> float:
     return p.table[a]
 
 
-def _range_pair(v: float) -> tuple[float, float]:
-    # Encode an out-of-range value as (required, actual) with required > actual.
-    if v < 0.0:
-        return 0.0, v
-    if v > 1.0:
-        return v, 1.0
-    return 1.0, v  # NaN
-
-
 def _out_of_range(t: np.ndarray) -> np.ndarray:
     """Ascending masks whose value is outside [0, 1], NaN included."""
     return np.nonzero(~((t >= 0.0) & (t <= 1.0)))[0]
+
+
+def _unit_reports(t: np.ndarray) -> list[ViolationReport]:
+    """The range reports of ``t`` (ascending mask), then its boundary reports (empty, then full)."""
+    reports = []
+    for mask in _out_of_range(t):
+        v = float(t[mask])
+        required, actual = (0.0, v) if v < 0.0 else (v, 1.0) if v > 1.0 else (1.0, v)
+        reports.append(ViolationReport("range", int(mask), None, required, actual))
+    for mask in (0, t.size - 1) if t.size > 1 else (0,):
+        v = float(t[mask])
+        if not v >= 1.0:  # not >=, so NaN is reported too
+            reports.append(ViolationReport("boundary", mask, None, 1.0, v))
+    return reports
 
 
 def _blocks(n: int, rows: int) -> list[slice]:
@@ -412,18 +414,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     """
     _check_table(w)
     t = w._array()
-    size = t.size
-    reports: list[ViolationReport] = []
-
-    for mask in _out_of_range(t):
-        required, actual = _range_pair(float(t[mask]))
-        reports.append(ViolationReport("range", int(mask), None, required, actual))
-
-    for mask in (0, size - 1) if size > 1 else (0,):
-        v = float(t[mask])
-        if not v >= 1.0:  # not >=, so NaN is reported too
-            reports.append(ViolationReport("boundary", mask, None, 1.0, v))
-
+    reports = _unit_reports(t)
     if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
         return reports
 
@@ -470,11 +461,8 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
     if w.n > EXHAUSTIVE_CAP:
         raise CapExceeded(f"family scan capped at n = {EXHAUSTIVE_CAP}, got {w.n}")
     t = w._array()
-    reports: list[FamilyViolation] = []
-
-    for mask in _out_of_range(t):
-        required, actual = _range_pair(float(t[mask]))
-        reports.append(FamilyViolation("range", (int(mask),), required, actual))
+    ranges = (r for r in _unit_reports(t) if r.kind == "range")
+    reports = [FamilyViolation("range", (r.witness_a,), r.required, r.actual) for r in ranges]
 
     cells = np.arange(t.size)
     unions = _hull(cells)
@@ -518,7 +506,7 @@ def as_pspace(w: WeightTable) -> PSpace:
     """``w`` as a :class:`PSpace`; a space, checked when it was made, is returned as it is.
 
     Any other table is decided in O(n 2^n) and shares its tuple and array
-    with the result, or raises :class:`NotAPSpace` with the first violation.
+    with the result, or raises :class:`NotAPSpace` carrying one violation.
     """
     if isinstance(w, PSpace):
         return w
@@ -527,16 +515,30 @@ def as_pspace(w: WeightTable) -> PSpace:
 
 
 def _check_axioms(w: WeightTable) -> None:
-    """Raise :class:`NotAPSpace` with the first violation and their count unless ``w`` is a space."""
-    violations = verify_pairwise(w)
-    if violations:
-        first = violations[0]
-        raise NotAPSpace(
-            f"table is not a valid space: {first.kind} violation at mask "
-            f"{first.witness_a} (required {first.required}, got {first.actual}); "
-            f"{len(violations)} violation(s) total",
-            violation=first,
-        )
+    """Raise :class:`NotAPSpace`, carrying one violation, unless ``w`` is a space: O(n 2^n).
+
+    A range or boundary violation comes first, as :func:`verify_pairwise`
+    lists it.  Else, with r = recon(T_w)(S) > w(S) at the first such S, the
+    cut U = {A : w(A) >= r} holds the empty and full sets and, for x in S
+    and y outside S, the set attaining T(x, y), yet not S: no topology.  Its
+    escaping pair A < B (:func:`_mask_defect`) is a listed pair report.
+    """
+    _check_table(w)
+    t = w._array()
+    reports = _unit_reports(t)
+    if not reports:
+        recon = _recon(_separation(t, w.n), w.n)
+        if np.array_equal(t, recon):
+            return
+        kind, a, b = _mask_defect(w.n, t >= recon[np.argmax(t < recon)])  # recon dominates t
+        actual = w.table[a | b if kind == "union" else a & b]
+        reports = [ViolationReport(kind, a, b, min(w.table[a], w.table[b]), actual)]
+    first = reports[0]
+    raise NotAPSpace(
+        f"table is not a valid space: {first.kind} violation at mask "
+        f"{first.witness_a} (required {first.required}, got {first.actual})",
+        violation=first,
+    )
 
 
 def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None:

@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import PSpace, WeightTable, _check_table
+from .core import WeightTable, _check_table
 from .errors import DimensionMismatch, DuplicateMask, NotACover
 from .masks import _check_real, _collection, _expect, _index, bits, check_ground_size, check_mask, full_mask
 
@@ -95,13 +95,14 @@ class CompactnessVerdict:
         return self.compact
 
 
-def is_qcompact(p: PSpace, q: float) -> CompactnessVerdict:
+def is_qcompact(p: WeightTable, q: float) -> CompactnessVerdict:
     """Always compact: a cover of a finite ground set is its own finite subcover.
 
     The operation exists for API completeness; the verdict carries the
     machine-readable rationale code ``finite-trivial``.
     """
-    del p, q
+    _check_table(p)
+    _check_real(q, "threshold")
     return CompactnessVerdict(True, "finite-trivial")
 
 

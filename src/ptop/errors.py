@@ -45,7 +45,7 @@ class NotATopology(PtopError):
 
 
 class NotAPSpace(PtopError):
-    """A weight table fails the openness axioms; carries the first violation."""
+    """A weight table fails the openness axioms; carries one violation, as ``violation``."""
 
     def __init__(self, message: str, violation=None):
         super().__init__(message)

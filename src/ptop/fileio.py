@@ -89,16 +89,25 @@ def _header(lines, name: str, version: str) -> int:
     return lineno
 
 
+def _decimal(token: str, form: str, lineno: int) -> int:
+    """``token``, decimal digits, as an int; else :class:`ParseError` "expected '<form>'"."""
+    try:
+        if token.isdecimal():  # isdigit would pass '²', which int() refuses
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"expected '{form}'", lineno)
+
+
 def _size_line(lines, lineno: int, form: str) -> tuple[int, int]:
     """Read the line after ``lineno`` as ``form``, '<key> <...>': (its line, the size)."""
-    key = form.split()[0]
     try:
         lineno, tokens = next(lines)
     except StopIteration:
         raise ParseError(f"missing '{form}' line", lineno + 1) from None
-    if len(tokens) != 2 or tokens[0] != key or not tokens[1].isdigit():
+    if len(tokens) != 2 or tokens[0] != form.split()[0]:
         raise ParseError(f"expected '{form}'", lineno)
-    return lineno, int(tokens[1])
+    return lineno, _decimal(tokens[1], form, lineno)
 
 
 def parse_pspace(text: str) -> WeightTable:
@@ -137,17 +146,17 @@ def parse_pmap(text: str) -> PointMap:
     lineno, cod = _size_line(lines, lineno, "cod <size>")
     image: dict[int, int] = {}
     for lineno, tokens in lines:
-        if len(tokens) != 2 or not tokens[0].isdigit() or not tokens[1].isdigit():
+        if len(tokens) != 2:
             raise ParseError("expected '<point> <image>'", lineno)
-        x, y = int(tokens[0]), int(tokens[1])
+        x, y = (_decimal(token, "<point> <image>", lineno) for token in tokens)
         if not 0 <= x < dom:
             raise ParseError(f"point {x} outside domain of size {dom}", lineno)
         if x in image:
             raise ParseError(f"point {x} assigned twice", lineno)
         image[x] = y
-    missing = [x for x in range(dom) if x not in image]
-    if missing:
-        raise ParseError(f"no image given for point {missing[0]}", lineno + 1)
+    for x in range(dom):  # stops by point len(image), however large dom is
+        if x not in image:
+            raise ParseError(f"no image given for point {x}", lineno + 1)
     return PointMap(dom, cod, tuple(image[x] for x in range(dom)))
 
 

@@ -18,7 +18,7 @@ from .core import PSpace, WeightTable, _check_table, _hull, _pspace, as_pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
-from .masks import _collection, _expect, _index, bits, check_ground_size, check_mask, full_mask
+from .masks import _collection, _digits, _expect, _index, bits, check_ground_size, check_mask, full_mask
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class PointMap:
         for x, y in enumerate(self.image):
             if not 0 <= y < self.codomain_n:
                 raise PointOutOfRange(
-                    f"image {y} of point {x} outside ground set of size {self.codomain_n}"
+                    f"image {_digits(y)} of point {x} outside ground set of size {self.codomain_n}"
                 )
 
 
@@ -88,7 +88,7 @@ def subspace_prob(p: WeightTable, y: int, a: int) -> float:
     _check_table(p)
     check_mask(y, p.n)
     if _index(a, "mask") & ~y:
-        raise NotASubset(f"mask {a} is not contained in subspace {y}")
+        raise NotASubset(f"mask {_digits(a)} is not contained in subspace {y}")
     outside = _hull([1 << i for i in bits(full_mask(p.n) ^ y)])
     return float(np.fmax.reduce(p._array()[a | outside], initial=0.0) + 0.0)
 

@@ -51,6 +51,14 @@ def _index(value, what: str) -> int:
         raise InvalidArgument(f"{what} must be an integer, got {value!r}") from None
 
 
+def _digits(k: int) -> str:
+    """``str(k)``, or ``k`` in hex when it is an int with more digits than str() converts."""
+    try:
+        return str(k)
+    except ValueError:
+        return hex(k)
+
+
 def _collection(values, what: str):
     """``values`` as a sized collection: plain lists, tuples and sets as they are, other iterables as a tuple.
 
@@ -75,10 +83,10 @@ def check_ground_size(n: int) -> int:
     if type(n) is not int:  # plain ints skip the call
         n = _index(n, "ground size")
     if n < 0:
-        raise MaskOutOfRange(f"ground size must be non-negative, got {n}")
+        raise MaskOutOfRange(f"ground size must be non-negative, got {_digits(n)}")
     cap = max_ground_size()
     if n > cap:
-        raise CapExceeded(f"ground size {n} exceeds cap {cap}")
+        raise CapExceeded(f"ground size {_digits(n)} exceeds cap {cap}")
     return n
 
 
@@ -86,7 +94,7 @@ def check_mask(mask: int, n: int) -> None:
     if type(mask) is not int:  # build checks every entry: plain ints skip the call
         mask = _index(mask, "mask")
     if not 0 <= mask < (1 << n):
-        raise MaskOutOfRange(f"mask {mask} out of range for ground size {n}")
+        raise MaskOutOfRange(f"mask {_digits(mask)} out of range for ground size {n}")
 
 
 def _check_real(q: float, what: str) -> None:
@@ -104,7 +112,7 @@ def _check_real(q: float, what: str) -> None:
     try:
         float(q)
     except OverflowError:
-        raise ProbabilityOutOfRange(f"{what} {q!r} is beyond the float range") from None
+        raise ProbabilityOutOfRange(f"{what} {_digits(q)} is beyond the float range") from None
 
 
 def check_probability(q: float, what: str) -> None:
@@ -126,7 +134,7 @@ def _non_negative(mask: int) -> int:
     if type(mask) is not int:  # plain ints skip the call
         mask = _index(mask, "mask")
     if mask < 0:
-        raise MaskOutOfRange(f"mask {mask} is negative")
+        raise MaskOutOfRange(f"mask {_digits(mask)} is negative")
     return mask
 
 
@@ -176,7 +184,7 @@ def compress(a: int, y: int) -> int:
     """
     a, y = _index(a, "mask"), _index(y, "mask")
     if a & ~y:
-        raise NotASubset(f"mask {a} is not contained in {y}")
+        raise NotASubset(f"mask {_digits(a)} is not contained in {_digits(y)}")
     return sum(1 << k for k, i in enumerate(bits(y)) if a >> i & 1)
 
 
@@ -184,5 +192,5 @@ def decompress(a: int, y: int) -> int:
     """Inverse of :func:`compress`: deposit bit k of ``a`` at the k-th bit of ``y``."""
     a, y = _index(a, "mask"), _index(y, "mask")
     if a >> y.bit_count():
-        raise MaskOutOfRange(f"mask {a} out of range for a subspace of size {y.bit_count()}")
+        raise MaskOutOfRange(f"mask {_digits(a)} out of range for a subspace of size {y.bit_count()}")
     return sum(1 << i for k, i in enumerate(bits(y)) if a >> k & 1)

@@ -64,6 +64,14 @@ def test_validate_bad_document(files, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_validate_size_that_int_refuses_is_a_parse_error(files, capsys):
+    # '²' passes str.isdigit, but int() refuses it.
+    path = files["dir"] / "superscript.ptop"
+    path.write_text("ptop 1\nn ²\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", "error: line 2: expected 'n <ground size>'\n")
+
+
 def test_complete_writes_fixed_document(files, capsys):
     out_path = files["dir"] / "fixed.ptop"
     code, _, _ = run(capsys, "complete", files["bad"], "-o", str(out_path))

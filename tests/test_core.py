@@ -49,6 +49,7 @@ from oracles import (
     many_level_spaces,
     random_weight_table,
     rng_for,
+    spiked_tables,
 )
 
 P1 = as_pspace(build(2, [(0b01, 0.5), (0b10, 0.3)]))
@@ -453,16 +454,83 @@ def test_the_constructor_decides_the_axioms_as_as_pspace_does():
             call()
         messages.append((str(err.value), repr(err.value.violation)))
     assert messages == [messages[0]] * 3
-    assert messages[0][0].endswith("; 2 violation(s) total")
+    assert messages[0][0] == "table is not a valid space: boundary violation at mask 3 (required 1.0, got 0.3)"
     p = PSpace(2, P1.table)
     assert p == P1 and as_pspace(p) is p
     assert _unpickled(p) == copy.deepcopy(p) == dataclasses.replace(p, table=P1.table) == p
-    # A dense invalid table above the listing cap has no violation count.
+    # A dense invalid table with more candidates than the listing cap still
+    # names a pair that violates.
     dense = [0.5] * (1 << 14)
     dense[0] = dense[-1] = 1.0
     dense[0b11] = 0.25
-    with pytest.raises(CapExceeded):
+    with pytest.raises(NotAPSpace) as err:
         PSpace(14, dense)
+    v = err.value.violation
+    target = v.witness_a | v.witness_b if v.kind == "union" else v.witness_a & v.witness_b
+    assert v.kind in ("union", "intersection") and v.witness_a < v.witness_b
+    assert dense[target] == v.actual < v.required == min(dense[v.witness_a], dense[v.witness_b])
+
+
+NAN = float("nan")
+INVALID_PALETTES = (
+    (0.0, -0.0, 0.5, 1.0),  # signed zeros and ties
+    (0.25, 0.5, 0.5, 0.75, 1.0),  # ties
+    (NAN, 0.0, 0.5, 1.0),
+    (-0.5, 0.0, 0.5, 1.0, 1.5, float("inf")),
+)
+
+
+def _check_named_violation(w):
+    # as_pspace and the constructor raise the same NotAPSpace, whose
+    # violation is one the listing holds, and its first entry when that is a
+    # range or boundary report.
+    listed = _nan_free(brute_pairwise(w.table, w.n))
+    if not listed:
+        assert as_pspace(w).table == w.table
+        return
+    with pytest.raises(NotAPSpace) as expected:
+        as_pspace(w)
+    with pytest.raises(NotAPSpace) as err:
+        PSpace(w.n, w.table)
+    assert str(err.value) == str(expected.value)
+    assert repr(err.value.violation) == repr(expected.value.violation)
+    v = expected.value.violation
+    (named,) = _nan_free([(v.kind, v.witness_a, v.witness_b, v.required, v.actual)])
+    assert named in listed
+    if listed[0][0] in ("range", "boundary"):
+        assert named == listed[0]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_the_checkpoint_names_a_listed_violation_on_seeded_tables(n):
+    # Each table is checked as drawn and with its boundary raised to 1, so
+    # that the pair path is reached as well as the range and boundary one.
+    for seed in range(60 if n < 6 else 12):
+        for k, palette in enumerate(INVALID_PALETTES):
+            w = random_weight_table(n, rng_for(n, seed, k), palette)
+            table = list(w.table)
+            table[0] = table[-1] = 1.0
+            for t in (w, WeightTable(n, tuple(table))):
+                _check_named_violation(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spiked_tables(max_n=7))
+def test_the_checkpoint_names_a_listed_violation_on_spiked_tables(w):
+    _check_named_violation(w)
+
+
+def test_the_checkpoint_does_not_list_pair_reports(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the checkpoint listed pair reports")
+
+    monkeypatch.setattr(ptop.core, "_pair_reports", refuse)
+    for w in (
+        WeightTable(2, (1.0, 0.5, 0.9, 0.3)),  # boundary
+        build(3, [(0b01, 0.8), (0b10, 0.7), (0b11, 0.2)]),  # union
+    ):
+        with pytest.raises(NotAPSpace):
+            as_pspace(w)
 
 
 def test_zero_one_spaces_are_topologies_both_ways():

@@ -18,7 +18,9 @@ from ptop import (
     LevelChain,
     MaskOutOfRange,
     N_MAX,
+    NotASubset,
     PointMap,
+    PointOutOfRange,
     PSpace,
     ProbabilityOutOfRange,
     PtopError,
@@ -38,6 +40,7 @@ from ptop import (
     identity_map,
     inclusion_map,
     is_partition,
+    is_qcompact,
     level_cut,
     min_subcover,
     parse_mask_token,
@@ -147,6 +150,8 @@ P2 = as_pspace(W2)
         (lambda: prob(5, 1), "expected a weight table, got 5"),
         (lambda: min_subcover(None), "expected a cover, got None"),
         (lambda: qcover_witness(P2, 5, 0.5), "expected a cover, got 5"),
+        (lambda: is_qcompact(None, "x"), "expected a weight table, got None"),
+        (lambda: is_qcompact(P2, "x"), "threshold must be a real number, got 'x'"),
         (lambda: compose(PointMap(1, 1, (0,)), None), "expected a point map, got None"),
         (lambda: serialize_pmap(5), "expected a point map, got 5"),
         (lambda: random_topology(3, None), "expected a SplitMix64 generator, got None"),
@@ -190,6 +195,25 @@ def test_ints_beyond_the_float_range_are_out_of_range():
     )
     # Plain ints in the float range still pass build's values.
     assert build(1, [(1, 1)]).table == (1.0, 1.0)
+
+
+def test_ints_past_the_decimal_digit_limit_are_named_in_hex():
+    # str() refuses ints of more than 4,300 digits by default; messages name
+    # such an int in hex instead of leaking str()'s ValueError.
+    huge = 1 << 20000
+    p = as_pspace(build(1, []))
+    for call, error, message in [
+        (lambda: prob(p, huge), MaskOutOfRange, f"mask {huge:#x} out of range for ground size 1"),
+        (lambda: full_mask(-huge), MaskOutOfRange, f"ground size must be non-negative, got {-huge:#x}"),
+        (lambda: compress(huge, 3), NotASubset, f"mask {huge:#x} is not contained in 3"),
+        (lambda: subspace_prob(p, 1, huge), NotASubset, f"mask {huge:#x} is not contained in subspace 1"),
+        (lambda: PointMap(1, 1, (huge,)), PointOutOfRange, f"image {huge:#x} of point 0 outside ground set of size 1"),
+        (lambda: random_pspace(1, huge, 0), CapExceeded, f"level count {huge:#x} exceeds cap 2^{N_MAX}"),
+        (lambda: level_cut(p, huge), ProbabilityOutOfRange, f"threshold {huge:#x} is beyond the float range"),
+    ]:
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_level_count_is_capped_at_the_most_values_a_table_holds():

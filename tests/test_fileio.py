@@ -5,9 +5,12 @@ import pytest
 from ptop import (
     MaskOutOfRange,
     ParseError,
+    PointMap,
     PointOutOfRange,
     ProbabilityOutOfRange,
+    PtopError,
     UnsupportedVersion,
+    WeightTable,
     as_pspace,
     build,
     format_probability,
@@ -100,6 +103,10 @@ def test_parse_pmap_errors():
         parse_pmap("pmap 1\ndom 1\ncod 1\n3 0\n")
     with pytest.raises(UnsupportedVersion):
         parse_pmap("pmap 9\ndom 1\ncod 1\n0 0\n")
+    # The first point with no image is found without walking a large domain.
+    _check_parse_error(
+        parse_pmap, "pmap 1\ndom 1000000000000\ncod 1\n0 0\n", ParseError, 5, "no image given for point 1"
+    )
 
 
 @pytest.mark.parametrize(
@@ -127,6 +134,20 @@ def test_parse_pmap_errors():
         (parse_pmap, "pmap 1\n\ndom 2 # two points\n", 4, "missing 'cod <size>' line"),
         (parse_pmap, "pmap 1\ndom 2\n0 0\n", 3, "expected 'cod <size>'"),
         (parse_pmap, "pmap 1\ndom 2\n\ncod -1\n", 4, "expected 'cod <size>'"),
+        # '²' passes str.isdigit but not int(); int() refuses more than 4,300 digits.
+        (parse_pspace, "ptop 1\nn ²\n", 2, "expected 'n <ground size>'"),
+        pytest.param(
+            parse_pspace, "ptop 1\nn " + "1" * 5000 + "\n", 2, "expected 'n <ground size>'", id="size of 5000 digits"
+        ),
+        (parse_pmap, "pmap 1\ndom ²\n", 2, "expected 'dom <size>'"),
+        (parse_pmap, "pmap 1\ndom 1\ncod 1\n0 ²\n", 4, "expected '<point> <image>'"),
+        pytest.param(
+            parse_pmap,
+            "pmap 1\ndom 1\ncod 1\n" + "0" * 5000 + " 0\n",
+            4,
+            "expected '<point> <image>'",
+            id="point of 5000 digits",
+        ),
     ],
 )
 def test_size_line_errors_pin_messages(parse, doc, line, message):
@@ -165,3 +186,33 @@ def test_pspace_codec_roundtrip(n, k, seed):
     again = parse_pspace(doc)
     assert again.n == p.n and again.table == p.table
     assert serialize_pspace(again) == doc  # canonical form is idempotent
+
+
+def test_decimal_tokens_in_any_script_parse_as_before():
+    assert parse_pspace("ptop 1\nn \uff12\n1 0.5\n").n == 2  # fullwidth 2
+    assert parse_pmap("pmap 1\ndom \u0662\ncod 1\n\u0660 0\n1 \uff10\n").image == (0, 0)  # Arabic-Indic
+
+
+HOSTILE_TOKENS = ("\u00b2", "\u0663", "\uff19", "9" * 5000, "0x" + "f" * 5000, "-0", "1_0", "nan", "1e400")
+NUMERIC_SLOTS = {
+    "size": (parse_pspace, "ptop 1\nn {}\n1 0.5\n"),
+    "mask": (parse_pspace, "ptop 1\nn 2\n{} 0.5\n"),
+    "probability": (parse_pspace, "ptop 1\nn 2\n1 {}\n"),
+    "domain size": (parse_pmap, "pmap 1\ndom {}\ncod 2\n0 1\n1 0\n"),
+    "codomain size": (parse_pmap, "pmap 1\ndom 2\ncod {}\n0 1\n1 0\n"),
+    "point": (parse_pmap, "pmap 1\ndom 2\ncod 2\n{} 1\n1 0\n"),
+    "image": (parse_pmap, "pmap 1\ndom 2\ncod 2\n0 {}\n1 0\n"),
+}
+
+
+@pytest.mark.parametrize("slot", NUMERIC_SLOTS)
+@pytest.mark.parametrize("token", HOSTILE_TOKENS, ids=lambda token: repr(token[:8]))
+def test_hostile_tokens_in_numeric_slots_parse_or_raise_ptop_errors(slot, token):
+    # Each numeric slot of a valid document takes each hostile token: the
+    # parse returns a table or map, or raises a PtopError, never another error.
+    parse, template = NUMERIC_SLOTS[slot]
+    try:
+        result = parse(template.format(token))
+    except PtopError:
+        return
+    assert isinstance(result, WeightTable if parse is parse_pspace else PointMap)
