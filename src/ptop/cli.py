@@ -33,7 +33,7 @@ from .fileio import (
 from .generate import random_pspace
 from .levels import decompose
 from .maps import continuity_witness, subspace
-from .masks import check_probability
+from .masks import _name, check_probability
 
 
 def _read(path: str) -> str:
@@ -70,7 +70,7 @@ def _parse_threshold(text: str) -> float:
     try:
         q = _parse_probability_token(text)
     except InvalidArgument:
-        raise ProbabilityOutOfRange(f"bad threshold {text!r}") from None
+        raise ProbabilityOutOfRange(f"bad threshold {_name(text)}") from None
     check_probability(q, "threshold")
     return q
 
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (PtopError, OSError) as exc:
+    except (PtopError, OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,7 +68,7 @@ from .errors import (
     NotATopology,
     ProbabilityOutOfRange,
 )
-from .masks import _check_real, _collection, _expect, _index, bits, check_ground_size, check_mask
+from .masks import _check_real, _collection, _expect, _index, _name, bits, check_ground_size, check_mask
 
 # Documented caps: listing the violations of an invalid table with C candidate
 # masks is O(|C|^2), capped at |C| <= 2^PAIRWISE_CAP (the pair cells of a full
@@ -216,7 +216,7 @@ def build(n: int, entries: Iterable[tuple[int, float]]) -> WeightTable:
         try:
             mask, value = entry
         except (TypeError, ValueError):
-            raise InvalidArgument(f"entry must be a (mask, value) pair, got {entry!r}") from None
+            raise InvalidArgument(f"entry must be a (mask, value) pair, got {_name(entry)}") from None
         check_mask(mask, n)
         if mask in seen:
             raise DuplicateMask(f"mask {mask} listed twice")
@@ -225,7 +225,7 @@ def build(n: int, entries: Iterable[tuple[int, float]]) -> WeightTable:
             _check_real(value, f"value for mask {mask}")
         v = float(value)
         if not 0.0 <= v <= 1.0:
-            raise ProbabilityOutOfRange(f"value {v!r} for mask {mask} not in [0, 1]")
+            raise ProbabilityOutOfRange(f"value {_name(v)} for mask {mask} not in [0, 1]")
         table[mask] = v if v != 0.0 else 0.0  # normalize -0.0
     return WeightTable(n, tuple(table))
 
@@ -240,6 +240,14 @@ def prob(p: WeightTable, a: int) -> float:
 def _out_of_range(t: np.ndarray) -> np.ndarray:
     """Ascending masks whose value is outside [0, 1], NaN included."""
     return np.nonzero(~((t >= 0.0) & (t <= 1.0)))[0]
+
+
+def _check_range(w: WeightTable) -> None:
+    """Raise :class:`ProbabilityOutOfRange` naming the least mask of ``w`` valued outside [0, 1], NaN included."""
+    bad = _out_of_range(w._array())
+    if bad.size:
+        mask = int(bad[0])
+        raise ProbabilityOutOfRange(f"value {_name(w.table[mask])} for mask {mask} not in [0, 1]")
 
 
 def _unit_reports(t: np.ndarray) -> list[ViolationReport]:
@@ -494,12 +502,8 @@ def complete(w: WeightTable) -> PSpace:
     only cap.
     """
     _check_table(w)
-    t = w._array()
-    bad = _out_of_range(t)
-    if bad.size:
-        mask = int(bad[0])
-        raise ProbabilityOutOfRange(f"value {w.table[mask]!r} for mask {mask} not in [0, 1]")
-    return _pspace(_recon(_separation(t + 0.0, w.n), w.n))
+    _check_range(w)
+    return _pspace(_recon(_separation(w._array() + 0.0, w.n), w.n))
 
 
 def as_pspace(w: WeightTable) -> PSpace:
@@ -581,7 +585,7 @@ def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None
     if failed == len(families):
         return
     if got is None:
-        raise InvalidArgument(f"mask family must be iterable, got {families[failed]!r}")
+        raise InvalidArgument(f"mask family must be iterable, got {_name(families[failed])}")
     masks = [_index(m, "mask") for m in got]  # names the first non-integer
     check_mask(min(masks), n)  # beyond int64 is out of range
     check_mask(max(masks), n)

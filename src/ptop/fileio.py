@@ -27,10 +27,10 @@ trailing ``.0`` trimmed).
 
 from __future__ import annotations
 
-from .core import WeightTable, _check_table, build
+from .core import WeightTable, _check_range, _check_table, build
 from .errors import InvalidArgument, ParseError, UnsupportedVersion
 from .maps import PointMap
-from .masks import _check_real, _expect
+from .masks import _check_real, _expect, _name
 
 PTOP_VERSION = "1"
 PMAP_VERSION = "1"
@@ -54,22 +54,22 @@ def parse_mask_token(token: str) -> int:
             return int(t[2:], 16)
         return int(t, 10)
     except ValueError:
-        raise InvalidArgument(f"bad mask literal {token!r}") from None
+        raise InvalidArgument(f"bad mask literal {_name(token)}") from None
 
 
 def _parse_probability_token(token: str) -> float:
     if "_" in token:
-        raise InvalidArgument(f"bad probability literal {token!r}")
+        raise InvalidArgument(f"bad probability literal {_name(token)}")
     try:
         return float(token)
     except ValueError:
-        raise InvalidArgument(f"bad probability literal {token!r}") from None
+        raise InvalidArgument(f"bad probability literal {_name(token)}") from None
 
 
 def _content_lines(text: str):
     """Yield (line number, tokens) per content line; a ``text`` that is no str raises first."""
     if not isinstance(text, str):
-        raise InvalidArgument(f"document must be a str, got {text!r}")
+        raise InvalidArgument(f"document must be a str, got {_name(text)}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -85,7 +85,7 @@ def _header(lines, name: str, version: str) -> int:
     if len(tokens) != 2 or tokens[0] != name:
         raise ParseError(f"expected header '{name} {version}'", lineno)
     if tokens[1] != version:
-        raise UnsupportedVersion(f"unsupported {name} version {tokens[1]!r}", lineno)
+        raise UnsupportedVersion(f"unsupported {name} version {_name(tokens[1])}", lineno)
     return lineno
 
 
@@ -128,8 +128,12 @@ def parse_pspace(text: str) -> WeightTable:
 
 
 def serialize_pspace(p: WeightTable) -> str:
-    """Canonical PTOP text for a table; parse(serialize(p)) == p bit-exactly."""
+    """Canonical PTOP text for a table; parse(serialize(p)) == p, bit-exactly but for -0.0, read as 0.0.
+
+    A value outside [0, 1], NaN included, raises :class:`ProbabilityOutOfRange`, as in :func:`~ptop.core.complete`.
+    """
     _check_table(p)
+    _check_range(p)
     lines = [f"ptop {PTOP_VERSION}", f"n {p.n}"]
     last = len(p.table) - 1
     for mask, v in enumerate(p.table):

@@ -38,7 +38,7 @@ from .errors import CapExceeded, InvalidArgument
 from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .levels import reconstruct  # noqa: F401
-from .masks import N_MAX, _digits, _expect, _index, check_ground_size
+from .masks import N_MAX, _expect, _index, _name, check_ground_size
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,7 +71,7 @@ class SplitMix64:
         if type(bound) is not int:  # _subbasis calls this in its loop: plain ints skip the call
             bound = _index(bound, "bound")
         if bound < 1:
-            raise InvalidArgument(f"bound must be at least 1, got {_digits(bound)}")
+            raise InvalidArgument(f"bound must be at least 1, got {_name(bound)}")
         return self.next64() % bound
 
     def unit(self) -> float:
@@ -126,10 +126,10 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     holds: a larger k raises :class:`CapExceeded` before any draw.
     """
     n = check_ground_size(n)
-    if _index(k, "level count") < 1:
-        raise InvalidArgument(f"level count must be at least 1, got {_digits(k)}")
+    if (k := _index(k, "level count")) < 1:
+        raise InvalidArgument(f"level count must be at least 1, got {_name(k)}")
     if k > 1 << N_MAX:
-        raise CapExceeded(f"level count {_digits(k)} exceeds cap 2^{N_MAX}")
+        raise CapExceeded(f"level count {_name(k)} exceeds cap 2^{N_MAX}")
     rng = SplitMix64(seed)
     subbases = [_subbasis(n, rng) for _ in range(k)]
     interior: set[float] = set()

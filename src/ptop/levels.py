@@ -24,7 +24,7 @@ from .core import PSpace, WeightTable, _check_table, _mark, _pspace, as_pspace, 
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import ChainNotNested, InvalidArgument, MissingBase, ProbabilityOutOfRange
-from .masks import _check_real, _collection, _expect, check_ground_size, check_probability
+from .masks import _check_real, _collection, _expect, _name, check_ground_size, check_probability
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class LevelChain:
         if self.base is not None:
             _check_real(self.base, "base")
             if not 0.0 <= self.base < levels[0]:
-                raise ProbabilityOutOfRange(f"base {self.base!r} must lie in [0, {levels[0]!r})")
+                raise ProbabilityOutOfRange(f"base {_name(self.base)} must lie in [0, {_name(levels[0])})")
         return n, levels, tables
 
 

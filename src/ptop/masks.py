@@ -3,7 +3,8 @@
 Bit i of a mask is set exactly when point i belongs to the subset, which
 fixes a canonical point ordering: file formats and examples are bit-exact.
 The shared argument checks live here too: ground sizes, masks, real numbers,
-probabilities and object kinds.
+probabilities and object kinds, and :func:`_name`, which names a value in
+every message of the package.
 All functions here are pure and safe for unrestricted concurrent use.
 """
 
@@ -39,7 +40,7 @@ def max_ground_size() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise PtopError(f"PTOP_MAX_N must be an integer, got {raw!r}") from None
+        raise PtopError(f"PTOP_MAX_N must be an integer, got {_name(raw)}") from None
     return max(0, min(N_MAX, value))
 
 
@@ -48,15 +49,15 @@ def _index(value, what: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}") from None
+        raise InvalidArgument(f"{what} must be an integer, got {_name(value)}") from None
 
 
-def _digits(k: int) -> str:
-    """``str(k)``, or ``k`` in hex when it is an int with more digits than str() converts."""
+def _name(value) -> str:
+    """``repr(value)`` for a message; a number too long for repr is an int in hex, or else named by its type."""
     try:
-        return str(k)
-    except ValueError:
-        return hex(k)
+        return repr(value)
+    except ValueError:  # more digits than CPython converts
+        return hex(value) if isinstance(value, int) else f"<{type(value).__name__} too long to print>"
 
 
 def _collection(values, what: str):
@@ -69,13 +70,13 @@ def _collection(values, what: str):
     try:
         return tuple(values)
     except TypeError:
-        raise InvalidArgument(f"{what} must be iterable, got {values!r}") from None
+        raise InvalidArgument(f"{what} must be iterable, got {_name(values)}") from None
 
 
 def _expect(obj, cls: type, what: str) -> None:
     """Raise :class:`InvalidArgument` unless ``obj`` is a ``cls``, named ``what`` ("a cover")."""
     if not isinstance(obj, cls):
-        raise InvalidArgument(f"expected {what}, got {obj!r}")
+        raise InvalidArgument(f"expected {what}, got {_name(obj)}")
 
 
 def check_ground_size(n: int) -> int:
@@ -83,10 +84,10 @@ def check_ground_size(n: int) -> int:
     if type(n) is not int:  # plain ints skip the call
         n = _index(n, "ground size")
     if n < 0:
-        raise MaskOutOfRange(f"ground size must be non-negative, got {_digits(n)}")
+        raise MaskOutOfRange(f"ground size must be non-negative, got {_name(n)}")
     cap = max_ground_size()
     if n > cap:
-        raise CapExceeded(f"ground size {_digits(n)} exceeds cap {cap}")
+        raise CapExceeded(f"ground size {_name(n)} exceeds cap {cap}")
     return n
 
 
@@ -94,7 +95,7 @@ def check_mask(mask: int, n: int) -> None:
     if type(mask) is not int:  # build checks every entry: plain ints skip the call
         mask = _index(mask, "mask")
     if not 0 <= mask < (1 << n):
-        raise MaskOutOfRange(f"mask {_digits(mask)} out of range for ground size {n}")
+        raise MaskOutOfRange(f"mask {_name(mask)} out of range for ground size {n}")
 
 
 def _check_real(q: float, what: str) -> None:
@@ -108,11 +109,11 @@ def _check_real(q: float, what: str) -> None:
     if not isinstance(q, (float, int, numbers.Real)) and not (  # plain types skip the ABC check
         isinstance(q, np.ndarray) and q.ndim == 0 and q.dtype.kind in "biuf"
     ):
-        raise InvalidArgument(f"{what} must be a real number, got {q!r}")
+        raise InvalidArgument(f"{what} must be a real number, got {_name(q)}")
     try:
         float(q)
     except OverflowError:
-        raise ProbabilityOutOfRange(f"{what} {_digits(q)} is beyond the float range") from None
+        raise ProbabilityOutOfRange(f"{what} {_name(q)} is beyond the float range") from None
 
 
 def check_probability(q: float, what: str) -> None:
@@ -122,7 +123,7 @@ def check_probability(q: float, what: str) -> None:
     """
     _check_real(q, what)
     if not 0.0 <= q <= 1.0:
-        raise ProbabilityOutOfRange(f"{what} {q!r} not in [0, 1]")
+        raise ProbabilityOutOfRange(f"{what} {_name(q)} not in [0, 1]")
 
 
 def full_mask(n: int) -> int:
@@ -134,7 +135,7 @@ def _non_negative(mask: int) -> int:
     if type(mask) is not int:  # plain ints skip the call
         mask = _index(mask, "mask")
     if mask < 0:
-        raise MaskOutOfRange(f"mask {_digits(mask)} is negative")
+        raise MaskOutOfRange(f"mask {_name(mask)} is negative")
     return mask
 
 
@@ -184,7 +185,7 @@ def compress(a: int, y: int) -> int:
     """
     a, y = _index(a, "mask"), _index(y, "mask")
     if a & ~y:
-        raise NotASubset(f"mask {_digits(a)} is not contained in {_digits(y)}")
+        raise NotASubset(f"mask {_name(a)} is not contained in {_name(y)}")
     return sum(1 << k for k, i in enumerate(bits(y)) if a >> i & 1)
 
 
@@ -192,5 +193,5 @@ def decompress(a: int, y: int) -> int:
     """Inverse of :func:`compress`: deposit bit k of ``a`` at the k-th bit of ``y``."""
     a, y = _index(a, "mask"), _index(y, "mask")
     if a >> y.bit_count():
-        raise MaskOutOfRange(f"mask {_digits(a)} out of range for a subspace of size {y.bit_count()}")
+        raise MaskOutOfRange(f"mask {_name(a)} out of range for a subspace of size {y.bit_count()}")
     return sum(1 << i for k, i in enumerate(bits(y)) if a >> k & 1)

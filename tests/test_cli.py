@@ -72,6 +72,23 @@ def test_validate_size_that_int_refuses_is_a_parse_error(files, capsys):
     assert (code, out, err) == (2, "", "error: line 2: expected 'n <ground size>'\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "{bytes}"),
+        ("complete", "{bytes}", "-o", "{dir}/out.ptop"),
+        ("continuity", "--map", "{bytes}", "--dom", "{p1}", "--cod", "{p1}"),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(files, capsys, argv):
+    path = files["dir"] / "latin1.ptop"
+    path.write_bytes(b"ptop 1\nn 1\n# caf\xe9 \xff\n")
+    code, out, err = run(capsys, *(a.format(bytes=path, dir=files["dir"], p1=files["p1"]) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
+    assert not (files["dir"] / "out.ptop").exists()
+
+
 def test_complete_writes_fixed_document(files, capsys):
     out_path = files["dir"] / "fixed.ptop"
     code, _, _ = run(capsys, "complete", files["bad"], "-o", str(out_path))

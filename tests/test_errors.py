@@ -148,6 +148,10 @@ P2 = as_pspace(W2)
         (lambda: reconstruct(5), "expected a level chain, got 5"),
         (lambda: level_cut(None, 0.5), "expected a weight table, got None"),
         (lambda: prob(5, 1), "expected a weight table, got 5"),
+        (
+            lambda: prob(np.array(10**5000, dtype=object), 1),
+            "expected a weight table, got <ndarray too long to print>",
+        ),
         (lambda: min_subcover(None), "expected a cover, got None"),
         (lambda: qcover_witness(P2, 5, 0.5), "expected a cover, got 5"),
         (lambda: is_qcompact(None, "x"), "expected a weight table, got None"),
@@ -210,6 +214,38 @@ def test_ints_past_the_decimal_digit_limit_are_named_in_hex():
         (lambda: PointMap(1, 1, (huge,)), PointOutOfRange, f"image {huge:#x} of point 0 outside ground set of size 1"),
         (lambda: random_pspace(1, huge, 0), CapExceeded, f"level count {huge:#x} exceeds cap 2^{N_MAX}"),
         (lambda: level_cut(p, huge), ProbabilityOutOfRange, f"threshold {huge:#x} is beyond the float range"),
+    ]:
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_other_numbers_too_long_to_print_are_named_by_their_type():
+    # repr refuses a Fraction whose numerator or denominator passes the digit
+    # limit; its message holds a placeholder, with no memory address.
+    p = as_pspace(build(1, []))
+    for call, error, message in [
+        (
+            lambda: level_cut(P3, Fraction(2**20000 + 1, 2**20000)),
+            ProbabilityOutOfRange,
+            "threshold <Fraction too long to print> not in [0, 1]",
+        ),
+        (
+            lambda: level_cut(p, Fraction(2**20000)),
+            ProbabilityOutOfRange,
+            "threshold <Fraction too long to print> is beyond the float range",
+        ),
+        (
+            lambda: q_open(p, 1, np.array(10**5000, dtype=object)),
+            InvalidArgument,
+            "threshold must be a real number, got <ndarray too long to print>",
+        ),
+        # A printable real beyond the float range is named by its repr.
+        (
+            lambda: level_cut(p, Fraction(2**1100)),
+            ProbabilityOutOfRange,
+            f"threshold Fraction({2**1100}, 1) is beyond the float range",
+        ),
     ]:
         with pytest.raises(error) as err:
             call()
@@ -283,8 +319,11 @@ def test_build_takes_real_values_of_any_numeric_type():
     assert build(1, [(1, np.int8(0))]).table == (1.0, 0.0)
 
 
+# Numbers whose repr raises ValueError: an int of a Fraction, or the int in a
+# 0-d object array, has more digits than CPython converts.
+TOO_LONG = (Fraction(2**20000), Fraction(2**20000 + 1, 2**20000), np.array(10**5000, dtype=object))
 # Tried on every numeric parameter; collection parameters also get the int 5.
-HOSTILE = (1.5, "0.5", None, np.zeros((2, 2)), -1, 2**70, 2**1100, float("nan"))
+HOSTILE = (1.5, "0.5", None, np.zeros((2, 2)), -1, 2**70, 2**1100, float("nan"), *TOO_LONG)
 P3 = as_pspace(build(2, [(1, 0.5), (2, 0.25)]))
 COVER = Cover(2, (1, 2, 3))
 SWAP = PointMap(2, 2, (1, 0))
@@ -292,7 +331,7 @@ CHAIN_ARGS = (2, (0.5, 1.0), (frozenset({0, 1, 3}), frozenset({0, 3})), 0.25)
 
 # One valid call per public callable of ptop.  The sweep replaces one numeric
 # or collection argument at a time.  Objects (spaces, maps, covers, chains,
-# the rng) get None and the int 5 only: their own constructors are swept.
+# the rng) get None, the int 5 and TOO_LONG only: their own constructors are swept.
 # Text keeps its value: the parsers' documents and tokens have their own
 # tests (test_fileio.py), and a report kind is a label that no function reads.
 SWEEP_CALLS = {
@@ -361,7 +400,10 @@ def _settle(result):
 
 
 def hostile_argument_leaks() -> list[str]:
-    """Each swept call that raised anything but a PtopError, as 'name(args): error'."""
+    """Each swept call that raised anything but a PtopError, as 'name argument i value j: error'.
+
+    The call is named by indices, since the repr of a TOO_LONG value raises.
+    """
     leaks = []
     for name, args in SWEEP_CALLS.items():
         func = getattr(ptop, name)
@@ -374,15 +416,15 @@ def hostile_argument_leaks() -> list[str]:
             elif isinstance(arg, str):
                 continue
             else:
-                values = (None, 5)
-            for value in values:
+                values = (None, 5, *TOO_LONG)
+            for j, value in enumerate(values):
                 call = args[:i] + (value,) + args[i + 1 :]
                 try:
                     _settle(func(*call))
                 except PtopError:
                     pass
                 except Exception as exc:
-                    leaks.append(f"{name}{call!r}: {type(exc).__name__}: {exc}")
+                    leaks.append(f"{name} argument {i} value {j}: {type(exc).__name__}: {exc}")
     return leaks
 
 

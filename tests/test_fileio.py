@@ -13,6 +13,7 @@ from ptop import (
     WeightTable,
     as_pspace,
     build,
+    complete,
     format_probability,
     parse_mask_token,
     parse_pmap,
@@ -67,6 +68,25 @@ def test_serialize_pspace_examples():
     assert serialize_pspace(indiscrete) == "ptop 1\nn 2\n"
     degenerate = as_pspace(build(1, []))
     assert serialize_pspace(degenerate) == "ptop 1\nn 1\n"
+
+
+def test_serialize_pspace_refuses_what_parse_pspace_refuses():
+    # parse_pspace refuses a value outside [0, 1], so serialize_pspace does not
+    # write one: it raises complete's error, naming the least such mask.
+    for table, message in [
+        ((1.0, 1.5), "value 1.5 for mask 1 not in [0, 1]"),
+        ((1.0, float("nan"), -0.5, 1.0), "value nan for mask 1 not in [0, 1]"),
+        ((float("inf"), 1.0), "value inf for mask 0 not in [0, 1]"),
+    ]:
+        w = WeightTable(len(table).bit_length() - 1, table)
+        for call in (serialize_pspace, complete):
+            with pytest.raises(ProbabilityOutOfRange) as err:
+                call(w)
+            assert str(err.value) == message
+    # A -0.0 entry is not written, and reads back as 0.0.
+    w = WeightTable(2, (1.0, -0.0, 0.0, 1.0))
+    assert serialize_pspace(w) == "ptop 1\nn 2\n"
+    assert parse_pspace(serialize_pspace(w)).table == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_parse_mask_token():

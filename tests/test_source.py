@@ -136,6 +136,22 @@ def test_spaces_are_made_by_one_constructor():
     assert offenders == []
 
 
+def test_messages_name_values_through_one_namer():
+    # masks._name is the one way a message names a value: repr, and for a
+    # number too long to print, hex or a placeholder.  A conversion such as
+    # {x!r} in an f-string would be a second way, and repr or str of a Fraction
+    # past the digit limit raises ValueError, which would leak from the raise.
+    offenders = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.conversion != -1
+        ]
+    assert offenders == []
+
+
 def test_one_function_reads_mask_families_into_a_buffer():
     # core._mark is the one reader of mask families: another module importing
     # `array` or calling np.frombuffer, or another core function doing so,
