@@ -82,7 +82,6 @@ from .masks import (
     decompress,
     full_mask,
     is_partition,
-    max_ground_size,
     submasks,
 )
 

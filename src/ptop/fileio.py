@@ -138,8 +138,8 @@ def serialize_pspace(p: WeightTable) -> str:
     last = len(p.table) - 1
     for mask, v in enumerate(p.table):
         default = 1.0 if mask in (0, last) else 0.0
-        if v != default:
-            lines.append(f"{mask} {format_probability(v)}")
+        if v != default:  # a -0.0 here is written 0, as parse_pspace reads it
+            lines.append(f"{mask} {format_probability(v or 0.0)}")
     return "\n".join(lines) + "\n"
 
 

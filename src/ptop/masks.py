@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-import os
 from typing import Iterator
 
 import numpy as np
@@ -23,25 +22,12 @@ from .errors import (
     MaskOutOfRange,
     NotASubset,
     ProbabilityOutOfRange,
-    PtopError,
 )
 
-# Absolute ground-size cap. Tables above 2^20 entries stop being
+# The one ground-size cap. Tables above 2^20 entries stop being
 # desk-scale even for the O(n 2^n) decision and completion; individual
 # operations document tighter caps of their own.
 N_MAX = 20
-
-
-def max_ground_size() -> int:
-    """Effective ground-size cap: N_MAX, lowered (never raised) by PTOP_MAX_N."""
-    raw = os.environ.get("PTOP_MAX_N")
-    if raw is None:
-        return N_MAX
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PtopError(f"PTOP_MAX_N must be an integer, got {_name(raw)}") from None
-    return max(0, min(N_MAX, value))
 
 
 def _index(value, what: str) -> int:
@@ -80,14 +66,13 @@ def _expect(obj, cls: type, what: str) -> None:
 
 
 def check_ground_size(n: int) -> int:
-    """``n`` as a plain int, when it is a ground size in [0, max_ground_size()]; bools and numpy integers pass."""
+    """``n`` as a plain int, when it is a ground size in [0, N_MAX]; bools and numpy integers pass."""
     if type(n) is not int:  # plain ints skip the call
         n = _index(n, "ground size")
     if n < 0:
         raise MaskOutOfRange(f"ground size must be non-negative, got {_name(n)}")
-    cap = max_ground_size()
-    if n > cap:
-        raise CapExceeded(f"ground size {_name(n)} exceeds cap {cap}")
+    if n > N_MAX:
+        raise CapExceeded(f"ground size {_name(n)} exceeds cap {N_MAX}")
     return n
 
 

@@ -199,12 +199,19 @@ def test_generate_rejects_bad_seed(files, capsys):
     assert code == 2 and "error:" in err
 
 
-def test_generate_rejects_zero_levels(files, capsys):
+@pytest.mark.parametrize(
+    ("n", "levels", "message"),
+    [
+        ("4", "0", "level count must be at least 1, got 0"),
+        ("21", "1", "ground size 21 exceeds cap 20"),  # N_MAX, the one ground-size cap
+    ],
+)
+def test_generate_refusals_exit_2_and_write_nothing(files, capsys, n, levels, message):
     path = files["dir"] / "g.ptop"
     code, out, err = run(
-        capsys, "generate", "--n", "4", "--levels", "0", "--seed", "1", "-o", str(path)
+        capsys, "generate", "--n", n, "--levels", levels, "--seed", "1", "-o", str(path)
     )
-    assert (code, out, err) == (2, "", "error: level count must be at least 1, got 0\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not path.exists()
 
 
@@ -220,13 +227,9 @@ def test_bad_mask_literals_exit_2(files, capsys, argv):
     assert (code, out, err) == (2, "", "error: bad mask literal 'ten'\n")
 
 
-def test_env_cap_override(files, capsys, monkeypatch):
-    monkeypatch.setenv("PTOP_MAX_N", "1")
-    code, _, err = run(capsys, "validate", files["p1"])
-    assert code == 2 and "exceeds cap" in err
-    monkeypatch.setenv("PTOP_MAX_N", "99")  # only lowers, never raises
-    code, _, _ = run(capsys, "validate", files["p1"])
-    assert code == 0
-    monkeypatch.setenv("PTOP_MAX_N", "junk")
-    code, _, err = run(capsys, "validate", files["p1"])
-    assert code == 2
+def test_environment_does_not_set_the_cap(files, capsys, monkeypatch):
+    # The ground-size cap is the constant N_MAX: the library reads no
+    # environment variable, so a PTOP_MAX_N in the caller's shell changes nothing.
+    for value in ("1", "99", "junk"):
+        monkeypatch.setenv("PTOP_MAX_N", value)
+        assert run(capsys, "validate", files["p1"]) == (0, "ok\n", "")

@@ -367,7 +367,6 @@ SWEEP_CALLS = {
     "is_qconnected": (P3, 0.5),
     "is_qcover": (P3, COVER, 0.25),
     "level_cut": (P3, 0.5),
-    "max_ground_size": (),
     "min_subcover": (COVER,),
     "parse_mask_token": ("0b11",),
     "parse_pmap": ("pmap 1\ndom 1\ncod 1\n0 0\n",),

@@ -89,6 +89,20 @@ def test_serialize_pspace_refuses_what_parse_pspace_refuses():
     assert parse_pspace(serialize_pspace(w)).table == (1.0, 0.0, 0.0, 1.0)
 
 
+def test_serialize_pspace_is_a_fixed_point_on_negative_zero():
+    # A -0.0 at the empty or full mask is no default, so it is written; it is
+    # written 0, as parse_pspace reads it, so serializing again changes nothing.
+    # format_probability itself keeps the sign.
+    for table, text in [
+        ((1.0, -0.0), "ptop 1\nn 1\n1 0\n"),
+        ((-0.0, 0.5, -0.0, 1.0), "ptop 1\nn 2\n0 0\n1 0.5\n"),
+    ]:
+        once = serialize_pspace(WeightTable(len(table).bit_length() - 1, table))
+        assert once == text
+        assert serialize_pspace(parse_pspace(once)) == once
+    assert format_probability(-0.0) == "-0"
+
+
 def test_parse_mask_token():
     assert parse_mask_token("10") == 10
     assert parse_mask_token("0b101") == 5

@@ -81,14 +81,10 @@ def test_random_pspace_examples():
     assert random_pspace(4, 3, 42).table == out.table  # determinism
 
 
-def test_random_pspace_argument_checks(monkeypatch):
+def test_random_pspace_argument_checks():
     # Generation has no cap of its own: only the ground-size cap bounds it.
     with pytest.raises(CapExceeded):
         random_pspace(21, 1, 0)
-    monkeypatch.setenv("PTOP_MAX_N", "5")
-    with pytest.raises(CapExceeded):
-        random_pspace(6, 1, 0)
-    assert random_pspace(5, 1, 0).n == 5
     with pytest.raises(ValueError):
         random_pspace(3, 0, 0)
 

@@ -176,3 +176,26 @@ def test_one_function_reads_mask_families_into_a_buffer():
                 or (isinstance(node, ast.ImportFrom) and node.module == "array")
             ]
     assert sorted(set(readers)) == ["core._mark"]
+
+
+def test_library_reads_no_environment():
+    # The library's behaviour depends on its arguments alone: no environment
+    # variable sets a cap or an option, so the suite and the benchmark give the
+    # same results whatever the caller's shell exports.
+    offenders = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0], *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found = [name for name in names if name in ("os", "environ", "getenv")]
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in found]
+    assert offenders == []
