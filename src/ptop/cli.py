@@ -15,14 +15,16 @@ from pathlib import Path
 from .core import (
     FamilyViolation,
     ViolationReport,
+    _listing,
     as_pspace,
     complete,
     verify_exhaustive,
-    verify_pairwise,
+    verify_pairwise,  # noqa: F401
 )
 from .covers import Cover, connectivity_threshold, disconnection_witness, min_subcover, qcover_witness
-from .errors import InvalidArgument, ProbabilityOutOfRange, PtopError
+from .errors import CapExceeded, InvalidArgument, NotAPSpace, ProbabilityOutOfRange, PtopError
 from .fileio import (
+    _formatted,
     _parse_probability_token,
     format_probability,
     parse_mask_token,
@@ -76,15 +78,32 @@ def _parse_threshold(text: str) -> float:
 
 
 def cmd_validate(args) -> int:
+    """Print the violations, or "ok": pair lines stream per row block, one format per distinct value.
+
+    Above the listing cap the checkpoint's one violation is printed, with a note on stderr.
+    """
     w = parse_pspace(_read(args.file))
     if args.exhaustive:
         lines = [_family_line(v) for v in verify_exhaustive(w)]
-    else:
-        lines = [_pair_line(r) for r in verify_pairwise(w)]
-    if not lines:
+        print("\n".join(lines) if lines else "ok")
+        return 1 if lines else 0
+    try:
+        units, cand, blocks = _listing(w)
+    except CapExceeded as exc:
+        print(f"note: {exc}; one violation is shown", file=sys.stderr)
+        try:
+            as_pspace(w)
+        except NotAPSpace as bad:
+            print(_pair_line(bad.violation))
+        return 1
+    if not units and not cand.size:  # a valid table; an invalid one has candidates or unit reports
         print("ok")
         return 0
-    print("\n".join(lines))
+    sys.stdout.write("".join(_pair_line(r) + "\n" for r in units))
+    texts = _formatted(w._array())
+    for kind, a, b, low, target in blocks:
+        rows = zip(cand[a].tolist(), cand[b].tolist(), cand[low].tolist(), target.tolist())
+        sys.stdout.write("".join(f"{kind} {x} {y} required {texts[r]} actual {texts[v]}\n" for x, y, r, v in rows))
     return 1
 
 

@@ -398,6 +398,29 @@ def _gc_paused():
             gc.enable()
 
 
+def _listing(w: WeightTable):
+    """(unit reports, candidate masks, :func:`_pair_reports` blocks): the one listing order.
+
+    A valid table has no candidates; :class:`CapExceeded` is raised before any block is made.
+    """
+    _check_table(w)
+    t = w._array()
+    reports = _unit_reports(t)
+    if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
+        cand = np.zeros(0, dtype=np.intp)
+    else:
+        # Only masks above the least non-NaN value take part in pair reports (see
+        # the module docstring); fmin skips NaN, and gives NaN, so no candidates,
+        # on an all-NaN table.
+        cand = np.nonzero(t > np.fmin.reduce(t))[0]
+    if cand.size > 1 << PAIRWISE_CAP:
+        raise CapExceeded(
+            f"listing the violations of {cand.size} candidate masks is capped at "
+            f"2^{PAIRWISE_CAP}"
+        )
+    return reports, cand, _pair_reports(t, cand)
+
+
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     """List the axiom violations of ``w``; empty result == valid space.
 
@@ -420,21 +443,9 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
-    _check_table(w)
-    t = w._array()
-    reports = _unit_reports(t)
-    if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
+    reports, cand, blocks = _listing(w)
+    if not cand.size:
         return reports
-
-    # Only masks above the least non-NaN value take part in pair reports (see
-    # the module docstring); fmin skips NaN, and gives NaN, so no candidates,
-    # on an all-NaN table.
-    cand = np.nonzero(t > np.fmin.reduce(t))[0]
-    if cand.size > 1 << PAIRWISE_CAP:
-        raise CapExceeded(
-            f"listing the violations of {cand.size} candidate masks is capped at "
-            f"2^{PAIRWISE_CAP}"
-        )
     # Reports share the table's floats and one int per candidate, all taken
     # in O(|C|) here; only A op B, which may be no candidate, is looked up
     # per report.
@@ -442,7 +453,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     masks = cand.astype(object)
     values = np.array([table[m] for m in masks], dtype=object)
     with _gc_paused():
-        for kind, a, b, low, target in _pair_reports(t, cand):
+        for kind, a, b, low, target in blocks:
             witnesses = masks[a].tolist(), masks[b].tolist()
             actual = map(table.__getitem__, target.tolist())
             reports += _reports(kind, *witnesses, values[low].tolist(), actual)

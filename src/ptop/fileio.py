@@ -27,6 +27,8 @@ trailing ``.0`` trimmed).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import WeightTable, _check_range, _check_table, build
 from .errors import InvalidArgument, ParseError, UnsupportedVersion
 from .maps import PointMap
@@ -38,7 +40,7 @@ PMAP_VERSION = "1"
 
 def format_probability(v: float) -> str:
     """Shortest decimal text that parses back to exactly ``v``, a real number."""
-    if type(v) is not float:  # serialize_pspace formats every entry: plain floats skip the call
+    if type(v) is not float:  # plain floats, as _formatted passes, skip the call
         _check_real(v, "probability")
     s = repr(float(v))
     return s[:-2] if s.endswith(".0") else s
@@ -127,20 +129,37 @@ def parse_pspace(text: str) -> WeightTable:
     return build(n, entries)
 
 
+def _formatted(values: np.ndarray) -> list[str]:
+    """:func:`format_probability` of each entry of a float64 array, each distinct value formatted once.
+
+    One stable argsort of the bits groups equal values, as in :func:`ptop.levels.decompose`
+    (np.unique would import numpy.ma, 9.5 ms per CLI run); -0.0 and 0.0 stay apart.
+    """
+    order = np.argsort(values.view(np.uint64), kind="stable")
+    bits = values.view(np.uint64)[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    texts = [format_probability(v) for v in values[order[first]].tolist()]
+    group = np.empty(values.size, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return list(map(texts.__getitem__, group.tolist()))
+
+
 def serialize_pspace(p: WeightTable) -> str:
     """Canonical PTOP text for a table; parse(serialize(p)) == p, bit-exactly but for -0.0, read as 0.0.
 
     A value outside [0, 1], NaN included, raises :class:`ProbabilityOutOfRange`, as in :func:`~ptop.core.complete`.
+    Cost: one sort of the listed values and one format per distinct value (:func:`_formatted`).
     """
     _check_table(p)
     _check_range(p)
-    lines = [f"ptop {PTOP_VERSION}", f"n {p.n}"]
-    last = len(p.table) - 1
-    for mask, v in enumerate(p.table):
-        default = 1.0 if mask in (0, last) else 0.0
-        if v != default:  # a -0.0 here is written 0, as parse_pspace reads it
-            lines.append(f"{mask} {format_probability(v or 0.0)}")
-    return "\n".join(lines) + "\n"
+    t = p._array()
+    listed = t != 0.0
+    listed[[0, -1]] = t[[0, -1]] != 1.0
+    masks = np.flatnonzero(listed)
+    texts = _formatted(t[masks] + 0.0)  # a -0.0 at the empty or full mask is written 0, as parse_pspace reads it
+    lines = [f"{mask} {text}" for mask, text in zip(masks.tolist(), texts)]
+    return "\n".join([f"ptop {PTOP_VERSION}", f"n {p.n}", *lines]) + "\n"
 
 
 def parse_pmap(text: str) -> PointMap:

@@ -233,6 +233,24 @@ def loop_subspace_prob(table, n, y, a):
     return best
 
 
+def loop_serialize(table, n):
+    """Canonical PTOP text, from the README's description of the format: the
+    header and size lines, then one '<mask> <value>' line per non-default entry
+    (0 unlisted, 1 at the empty and full masks) in ascending mask order, each
+    value in the shortest decimal that reads back to it, a trailing '.0'
+    trimmed.  A -0.0 equals its default 0.0 inside the table and is written 0
+    at the boundary, as the parser reads it."""
+    size = 1 << n
+    lines = ["ptop 1", f"n {n}"]
+    for mask in range(size):
+        value = table[mask]
+        if value == (1.0 if mask in (0, size - 1) else 0.0):
+            continue
+        text = repr(value + 0.0)
+        lines.append(f"{mask} {text[:-2] if text.endswith('.0') else text}")
+    return "\n".join(lines) + "\n"
+
+
 def classically_continuous(image, opens_dom, opens_cod) -> bool:
     for a in opens_cod:
         pre = 0

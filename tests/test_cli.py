@@ -1,9 +1,13 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from ptop import build, serialize_pspace
-from ptop.cli import main
+import ptop.core
+from ptop import WeightTable, build, complete, format_probability, random_pspace, serialize_pspace, verify_pairwise
+from ptop.cli import _pair_line, main
+
+from oracles import rng_for
 
 P1_DOC = "ptop 1\nn 2\n1 0.5\n2 0.3\n"
 BAD_DOC = "ptop 1\nn 3\n1 0.8\n2 0.7\n3 0.2\n"
@@ -41,6 +45,94 @@ def test_validate_reports_golden(files, capsys):
     assert out == "union 1 2 required 0.7 actual 0.2\n"
     again_code, again_out, _ = run(capsys, "validate", files["bad"])
     assert (again_code, again_out) == (code, out)
+
+
+def identity_tables():
+    """Seeded invalid tables, each with a short label."""
+    rng = rng_for(2601)
+    for n, count in ((8, 40), (12, 300)):
+        entries = {rng.below(1 << n): rng.unit() for _ in range(count)}
+        yield f"sparse n={n}", build(n, entries.items())
+    yield "dense n=10", build(10, [(m, rng.unit()) for m in range(1, 1023)])
+    low = complete(build(9, [(rng.below(1 << 9), rng.unit() / 2) for _ in range(30)]))
+    yield "boundary only", WeightTable(9, (0.5, *low.table[1:]))
+
+
+def test_validate_streams_what_verify_pairwise_lists(files, capsys):
+    # The streamed listing is the library's listing, line for line: same
+    # order, same texts, with each distinct value formatted once.
+    for label, w in identity_tables():
+        path = files["dir"] / "w.ptop"
+        path.write_text(serialize_pspace(w), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        reports = verify_pairwise(w)
+        expected = "\n".join(_pair_line(r) for r in reports) + "\n"
+        assert reports and (code, err) == (1, ""), label
+        assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(expected.encode()).hexdigest(), label
+        if label == "boundary only":
+            assert {r.kind for r in reports} == {"boundary"}
+
+
+def above_the_cap(n, dense):
+    """An invalid table with more than 2^13 candidate masks: masks 5 and 6 at
+    0.9999 and their union 7 at 0, in a random space (dense) or among the
+    2^13 masks holding point 13 and no point above it, at 0.5 (sparse)."""
+    if dense:
+        table = list(random_pspace(n, 8, 3).table)
+    else:
+        table = [0.0] * (1 << n)
+        table[1 << 13 : 1 << 14] = [0.5] * (1 << 13)
+        table[0] = table[-1] = 1.0
+    table[5] = table[6] = 0.9999
+    table[7] = 0.0
+    return WeightTable(n, tuple(table))
+
+
+def assert_one_real_violation(w, out):
+    kind, a, b, _, required, _, actual = out.split()
+    a, b = int(a), int(b)
+    target = a | b if kind == "union" else a & b
+    low = min(w.table[a], w.table[b])
+    assert w.table[target] < low
+    assert (required, actual) == (format_probability(low), format_probability(w.table[target]))
+
+
+@pytest.mark.parametrize("n", [14, 20])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_validate_gives_a_verdict_above_the_listing_cap(files, capsys, n, dense):
+    w = above_the_cap(n, dense)
+    path = files["dir"] / "w.ptop"
+    path.write_text(serialize_pspace(w), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    least = min(w.table)
+    cand = sum(v > least for v in w.table)
+    assert code == 1 and out.count("\n") == 1
+    assert_one_real_violation(w, out)
+    assert err == (
+        f"note: listing the violations of {cand} candidate masks is capped at 2^13; one violation is shown\n"
+    )
+    if n == 14:  # the family scan stays refused above n = 4
+        assert run(capsys, "validate", str(path), "--exhaustive") == (
+            2, "", "error: family scan capped at n = 4, got 14\n"
+        )
+        if dense:
+            assert out == "union 5 6 required 0.9999 actual 0\n"
+
+
+def test_a_capped_listing_never_prints_half_way(files, capsys, monkeypatch):
+    # Both boundary lines come before any pair in a listing; above the cap
+    # only the first one is printed, and no pair block is ever started.
+    def refuse(*args):
+        raise AssertionError("a capped listing started its pair blocks")
+
+    monkeypatch.setattr(ptop.core, "_pair_reports", refuse)
+    table = list(above_the_cap(14, dense=False).table)
+    table[0] = table[-1] = 0.5
+    path = files["dir"] / "w.ptop"
+    path.write_text(serialize_pspace(WeightTable(14, tuple(table))), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "boundary 0 required 1 actual 0.5\n")
+    assert err.startswith("note: listing the violations of ")
 
 
 def test_validate_exhaustive_golden(files, capsys):

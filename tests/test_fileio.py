@@ -23,6 +23,8 @@ from ptop import (
     serialize_pspace,
 )
 
+from oracles import loop_serialize, rng_for
+
 P1_DOC = "ptop 1\nn 2\n1 0.5\n2 0.3\n"
 
 
@@ -101,6 +103,34 @@ def test_serialize_pspace_is_a_fixed_point_on_negative_zero():
         assert once == text
         assert serialize_pspace(parse_pspace(once)) == once
     assert format_probability(-0.0) == "-0"
+
+
+def serialize_sweep_tables():
+    """Seeded tables for the serializer sweep, each with a short label."""
+    rng = rng_for(26)
+    for n in range(14):
+        yield f"random n={n}", random_pspace(n, 1 + n % 7, 2600 + n)
+    for n in (4, 8, 11):
+        entries = {rng.below(1 << n): rng.unit() for _ in range(3 * n)}
+        yield f"complete of sparse n={n}", complete(build(n, entries.items()))
+    for n in (1, 5, 10):
+        yield f"dense distinct n={n}", WeightTable(n, tuple(rng.unit() for _ in range(1 << n)))
+    for n in (1, 2, 6):
+        table = [rng.unit() for _ in range(1 << n)]
+        for mask in {0, (1 << n) - 1, (1 << n) >> 1}:
+            table[mask] = -0.0
+        yield f"negative zeros n={n}", WeightTable(n, tuple(table))
+    hard = (5e-324, 1e-300, 0.3, 0.30000000000000004, 1.0, 0.0, -0.0, 1 - 2**-53)
+    yield "hard decimals", WeightTable(3, hard)
+    yield "hard decimals reversed", WeightTable(3, hard[::-1])
+
+
+def test_serialize_pspace_matches_the_loop_oracle():
+    # Byte for byte against an oracle written from the README's canonical form,
+    # so the bulk formatter's grouping (one text per distinct value, -0.0 and
+    # 0.0 apart) cannot drift from the per-entry rule.
+    for label, w in serialize_sweep_tables():
+        assert serialize_pspace(w) == loop_serialize(w.table, w.n), label
 
 
 def test_parse_mask_token():

@@ -199,3 +199,18 @@ def test_library_reads_no_environment():
             found = [name for name in names if name in ("os", "environ", "getenv")]
             offenders += [f"{path.name}:{node.lineno} {name}" for name in found]
     assert offenders == []
+
+
+def test_library_never_calls_np_unique():
+    # The first np.unique call in a process imports numpy.ma: 9.5-15 ms on a
+    # shared 2-core VM, which every CLI run would pay.  Equal values are
+    # grouped by one stable argsort instead (levels.decompose, fileio._formatted).
+    offenders = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "unique"
+        ]
+    assert offenders == []
