@@ -9,8 +9,6 @@ structural fact it relies on.
 """
 
 from .core import (
-    EXHAUSTIVE_CAP,
-    PAIRWISE_CAP,
     FamilyViolation,
     PSpace,
     ViolationReport,
@@ -25,14 +23,11 @@ from .core import (
     verify_pairwise,
 )
 from .covers import (
-    CompactnessVerdict,
     Cover,
     CoverDefect,
     connectivity_threshold,
     disconnection_witness,
-    is_qcompact,
     is_qconnected,
-    is_qcover,
     min_subcover,
     qcover_witness,
 )
@@ -62,7 +57,7 @@ from .fileio import (
     serialize_pmap,
     serialize_pspace,
 )
-from .generate import SplitMix64, random_pspace, random_topology, topology_closure
+from .generate import SplitMix64, random_pspace, topology_closure
 from .levels import LevelChain, decompose, level_cut, q_open, reconstruct
 from .maps import (
     PointMap,
@@ -73,16 +68,7 @@ from .maps import (
     is_pcontinuous,
     preimage,
     subspace,
-    subspace_prob,
 )
-from .masks import (
-    N_MAX,
-    bits,
-    compress,
-    decompress,
-    full_mask,
-    is_partition,
-    submasks,
-)
+from .masks import N_MAX, bits, compress, full_mask
 
 __version__ = "0.1.0"

@@ -15,14 +15,16 @@ from pathlib import Path
 from .core import (
     FamilyViolation,
     ViolationReport,
+    _decide,
     _listing,
+    _violation,
     as_pspace,
     complete,
     verify_exhaustive,
     verify_pairwise,  # noqa: F401
 )
 from .covers import Cover, connectivity_threshold, disconnection_witness, min_subcover, qcover_witness
-from .errors import CapExceeded, InvalidArgument, NotAPSpace, ProbabilityOutOfRange, PtopError
+from .errors import CapExceeded, InvalidArgument, ProbabilityOutOfRange, PtopError
 from .fileio import (
     _formatted,
     _parse_probability_token,
@@ -87,14 +89,12 @@ def cmd_validate(args) -> int:
         lines = [_family_line(v) for v in verify_exhaustive(w)]
         print("\n".join(lines) if lines else "ok")
         return 1 if lines else 0
+    decision = _decide(w)
     try:
-        units, cand, blocks = _listing(w)
+        units, cand, blocks = _listing(w, *decision)
     except CapExceeded as exc:
         print(f"note: {exc}; one violation is shown", file=sys.stderr)
-        try:
-            as_pspace(w)
-        except NotAPSpace as bad:
-            print(_pair_line(bad.violation))
+        print(_pair_line(_violation(w, *decision)))
         return 1
     if not units and not cand.size:  # a valid table; an invalid one has candidates or unit reports
         print("ok")

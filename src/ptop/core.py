@@ -398,27 +398,58 @@ def _gc_paused():
             gc.enable()
 
 
-def _listing(w: WeightTable):
-    """(unit reports, candidate masks, :func:`_pair_reports` blocks): the one listing order.
+def _decide(w: WeightTable) -> tuple[list[ViolationReport], np.ndarray | None]:
+    """(unit reports, recon(T_w)): the one decision of validity, O(n 2^n); a space has neither.
 
-    A valid table has no candidates; :class:`CapExceeded` is raised before any block is made.
+    recon(T_w) is left out when a unit report comes first, and when ``w``
+    equals it (see the module docstring).
     """
     _check_table(w)
     t = w._array()
-    reports = _unit_reports(t)
-    if not reports and np.array_equal(t, _recon(_separation(t, w.n), w.n)):
-        cand = np.zeros(0, dtype=np.intp)
-    else:
+    if units := _unit_reports(t):
+        return units, None
+    recon = _recon(_separation(t, w.n), w.n)
+    return units, None if np.array_equal(t, recon) else recon
+
+
+def _violation(w: WeightTable, units, recon) -> ViolationReport | None:
+    """The one violation of ``w`` that its decision (:func:`_decide`) names, or None for a space.
+
+    A range or boundary violation comes first, as :func:`verify_pairwise`
+    lists it.  Else, with r = recon(T_w)(S) > w(S) at the first such S, the
+    cut U = {A : w(A) >= r} holds the empty and full sets and, for x in S
+    and y outside S, the set attaining T(x, y), yet not S: no topology.  Its
+    escaping pair A < B (:func:`_mask_defect`) is a listed pair report.
+    """
+    if units:
+        return units[0]
+    if recon is None:
+        return None
+    t = w._array()
+    kind, a, b = _mask_defect(w.n, t >= recon[np.argmax(t < recon)])  # recon dominates t
+    actual = w.table[a | b if kind == "union" else a & b]
+    return ViolationReport(kind, a, b, min(w.table[a], w.table[b]), actual)
+
+
+def _listing(w: WeightTable, units, recon):
+    """(unit reports, candidate masks, :func:`_pair_reports` blocks) from ``w``'s decision: the one listing order.
+
+    A valid table has no candidates; :class:`CapExceeded` is raised before any block is made.
+    """
+    t = w._array()
+    if units or recon is not None:
         # Only masks above the least non-NaN value take part in pair reports (see
         # the module docstring); fmin skips NaN, and gives NaN, so no candidates,
         # on an all-NaN table.
         cand = np.nonzero(t > np.fmin.reduce(t))[0]
+    else:
+        cand = np.zeros(0, dtype=np.intp)
     if cand.size > 1 << PAIRWISE_CAP:
         raise CapExceeded(
             f"listing the violations of {cand.size} candidate masks is capped at "
             f"2^{PAIRWISE_CAP}"
         )
-    return reports, cand, _pair_reports(t, cand)
+    return units, cand, _pair_reports(t, cand)
 
 
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
@@ -443,7 +474,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
-    reports, cand, blocks = _listing(w)
+    reports, cand, blocks = _listing(w, *_decide(w))
     if not cand.size:
         return reports
     # Reports share the table's floats and one int per candidate, all taken
@@ -530,30 +561,14 @@ def as_pspace(w: WeightTable) -> PSpace:
 
 
 def _check_axioms(w: WeightTable) -> None:
-    """Raise :class:`NotAPSpace`, carrying one violation, unless ``w`` is a space: O(n 2^n).
-
-    A range or boundary violation comes first, as :func:`verify_pairwise`
-    lists it.  Else, with r = recon(T_w)(S) > w(S) at the first such S, the
-    cut U = {A : w(A) >= r} holds the empty and full sets and, for x in S
-    and y outside S, the set attaining T(x, y), yet not S: no topology.  Its
-    escaping pair A < B (:func:`_mask_defect`) is a listed pair report.
-    """
-    _check_table(w)
-    t = w._array()
-    reports = _unit_reports(t)
-    if not reports:
-        recon = _recon(_separation(t, w.n), w.n)
-        if np.array_equal(t, recon):
-            return
-        kind, a, b = _mask_defect(w.n, t >= recon[np.argmax(t < recon)])  # recon dominates t
-        actual = w.table[a | b if kind == "union" else a & b]
-        reports = [ViolationReport(kind, a, b, min(w.table[a], w.table[b]), actual)]
-    first = reports[0]
-    raise NotAPSpace(
-        f"table is not a valid space: {first.kind} violation at mask "
-        f"{first.witness_a} (required {first.required}, got {first.actual})",
-        violation=first,
-    )
+    """Raise :class:`NotAPSpace`, carrying one violation (:func:`_violation`), unless ``w`` is a space: O(n 2^n)."""
+    first = _violation(w, *_decide(w))
+    if first is not None:
+        raise NotAPSpace(
+            f"table is not a valid space: {first.kind} violation at mask "
+            f"{first.witness_a} (required {first.required}, got {first.actual})",
+            violation=first,
+        )
 
 
 def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None:

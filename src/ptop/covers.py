@@ -1,9 +1,8 @@
-"""Covers, compactness and connectedness at a probability threshold.
+"""Covers and connectedness at a probability threshold.
 
 A q-cover is a family of subsets covering the ground set, every member of
-which has value at least q.  Compactness at q is trivially true on a
-finite ground set (any cover is already finite), so the interesting
-computational companion is exact minimal subcover extraction.  A space is
+which has value at least q; any cover of a finite ground set is already
+finite, so what is computed for a cover is a minimum subcover.  A space is
 q-connected when no two-block partition of the ground set has both blocks
 nonempty with value at least q; the connectivity threshold is the largest
 q at which such a partition exists, so the space is q-connected exactly
@@ -80,30 +79,6 @@ def qcover_witness(p: WeightTable, cover: Cover, q: float) -> CoverDefect | None
         if p.table[m] < q:
             return CoverDefect("low-probability", mask=m)
     return None
-
-
-def is_qcover(p: WeightTable, cover: Cover, q: float) -> bool:
-    return qcover_witness(p, cover, q) is None
-
-
-@dataclass(frozen=True)
-class CompactnessVerdict:
-    compact: bool
-    rationale: str
-
-    def __bool__(self) -> bool:
-        return self.compact
-
-
-def is_qcompact(p: WeightTable, q: float) -> CompactnessVerdict:
-    """Always compact: a cover of a finite ground set is its own finite subcover.
-
-    The operation exists for API completeness; the verdict carries the
-    machine-readable rationale code ``finite-trivial``.
-    """
-    _check_table(p)
-    _check_real(q, "threshold")
-    return CompactnessVerdict(True, "finite-trivial")
 
 
 def min_subcover(cover: Cover) -> Cover:

@@ -38,7 +38,7 @@ from .errors import CapExceeded, InvalidArgument
 from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .levels import reconstruct  # noqa: F401
-from .masks import N_MAX, _expect, _index, _name, check_ground_size
+from .masks import N_MAX, _index, _name, check_ground_size
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -93,13 +93,6 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
 def _subbasis(n: int, rng: SplitMix64) -> list[int]:
     """Draw a subbasis: its size in [0, n+1], then that many masks, each one ``below``."""
     return [rng.below(1 << n) for _ in range(rng.below(n + 2))]
-
-
-def random_topology(n: int, rng: SplitMix64) -> frozenset[int]:
-    """Closure of a random subbasis of up to n+1 subsets."""
-    n = check_ground_size(n)
-    _expect(rng, SplitMix64, "a SplitMix64 generator")
-    return topology_closure(n, _subbasis(n, rng))
 
 
 def _chain(n: int, subbases: list[list[int]]):

@@ -17,8 +17,8 @@ import numpy as np
 from .core import PSpace, WeightTable, _check_table, _hull, _pspace, as_pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
-from .errors import DimensionMismatch, InvalidArgument, NotASubset, PointOutOfRange
-from .masks import _collection, _expect, _index, _name, bits, check_ground_size, check_mask, full_mask
+from .errors import DimensionMismatch, InvalidArgument, PointOutOfRange
+from .masks import _collection, _expect, _index, _name, bits, check_ground_size, check_mask
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,6 @@ def inclusion_map(y: int, n: int) -> PointMap:
     n = check_ground_size(n)
     check_mask(y, n)
     return PointMap(y.bit_count(), n, tuple(bits(y)))
-
-
-def subspace_prob(p: WeightTable, y: int, a: int) -> float:
-    """Trace value of ``a`` inside the subspace ``y``.
-
-    The maximum of ``p`` over all ambient subsets whose intersection with
-    ``y`` is ``a``, i.e. over ``a | c`` for ``c`` ranging through the
-    complement of ``y``; 2^(n - |y|) table lookups.
-    NaN and values below 0 are passed over: the result is at least +0.0.
-    """
-    _check_table(p)
-    check_mask(y, p.n)
-    if (a := _index(a, "mask")) & ~y:
-        raise NotASubset(f"mask {_name(a)} is not contained in subspace {y}")
-    outside = _hull([1 << i for i in bits(full_mask(p.n) ^ y)])
-    return float(np.fmax.reduce(p._array()[a | outside], initial=0.0) + 0.0)
 
 
 def subspace(p: WeightTable, y: int) -> PSpace:

@@ -115,50 +115,19 @@ def full_mask(n: int) -> int:
     return (1 << check_ground_size(n)) - 1
 
 
-def _non_negative(mask: int) -> int:
-    """``mask`` as an int, through :func:`_index`; :class:`MaskOutOfRange` when it is negative."""
-    if type(mask) is not int:  # plain ints skip the call
-        mask = _index(mask, "mask")
-    if mask < 0:
-        raise MaskOutOfRange(f"mask {_name(mask)} is negative")
-    return mask
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield the positions of the set bits, lowest first.
 
     A negative mask has endless set bits, so it raises :class:`MaskOutOfRange`.
     """
-    mask = _non_negative(mask)
+    if type(mask) is not int:  # plain ints skip the call
+        mask = _index(mask, "mask")
+    if mask < 0:
+        raise MaskOutOfRange(f"mask {_name(mask)} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask`` exactly once, ending with 0.
-
-    A negative mask has endless submasks, so it raises :class:`MaskOutOfRange`.
-    """
-    mask = sub = _non_negative(mask)
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def is_partition(a: int, b: int, n: int) -> bool:
-    """True when ``a`` and ``b`` are disjoint and together cover the ground set.
-
-    Either side may be empty; whoever needs non-emptiness checks it separately.
-    """
-    n = check_ground_size(n)
-    full = (1 << n) - 1
-    check_mask(a, n)
-    check_mask(b, n)
-    return (a | b) == full and (a & b) == 0
 
 
 def compress(a: int, y: int) -> int:
@@ -172,11 +141,3 @@ def compress(a: int, y: int) -> int:
     if a & ~y:
         raise NotASubset(f"mask {_name(a)} is not contained in {_name(y)}")
     return sum(1 << k for k, i in enumerate(bits(y)) if a >> i & 1)
-
-
-def decompress(a: int, y: int) -> int:
-    """Inverse of :func:`compress`: deposit bit k of ``a`` at the k-th bit of ``y``."""
-    a, y = _index(a, "mask"), _index(y, "mask")
-    if a >> y.bit_count():
-        raise MaskOutOfRange(f"mask {_name(a)} out of range for a subspace of size {y.bit_count()}")
-    return sum(1 << i for k, i in enumerate(bits(y)) if a >> k & 1)

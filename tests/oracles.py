@@ -223,16 +223,6 @@ def brute_subspace_prob(table, n, y, a):
     return max(table[b] for b in range(1 << n) if b & y == a)
 
 
-def loop_subspace_prob(table, n, y, a):
-    """The trace value as a running strict maximum from 0.0, which passes
-    over NaN, -0.0 and negative values."""
-    best = 0.0
-    for b in range(1 << n):
-        if b & y == a and table[b] > best:
-            best = table[b]
-    return best
-
-
 def loop_serialize(table, n):
     """Canonical PTOP text, from the README's description of the format: the
     header and size lines, then one '<mask> <value>' line per non-default entry

@@ -135,6 +135,52 @@ def test_a_capped_listing_never_prints_half_way(files, capsys, monkeypatch):
     assert err.startswith("note: listing the violations of ")
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the calls to core's validity decision and to its cut defect."""
+    calls = {"_separation": 0, "_mask_defect": 0}
+    for name in calls:
+        def count(*args, name=name, inner=getattr(ptop.core, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(ptop.core, name, count)
+    return calls
+
+
+CAPPED_NOTE = "note: listing the violations of 16383 candidate masks is capped at 2^13; one violation is shown\n"
+
+
+@pytest.mark.parametrize(
+    "make, code, lines, digest, err, defects",
+    [
+        (lambda: random_pspace(14, 8, 3), 0, 1, "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22", "", 0),
+        # at n = 10 the spike of above_the_cap is under the listing cap
+        (lambda: above_the_cap(10, dense=True), 1, 1179, "bdc89861fc10d5c9d3f32179f041530726311494080aac077eb2837f2f220cec", "", 0),
+        (lambda: above_the_cap(14, dense=True), 1, 1, "d6fcc69abbbe76adb5aed6d91a8435d6e7e0c3e857e7e33a55495dc775cdc180", CAPPED_NOTE, 1),
+    ],
+    ids=["valid", "listed", "capped"],
+)
+def test_validate_decides_validity_once(files, capsys, counted, make, code, lines, digest, err, defects):
+    # One O(n 2^n) decision per run: the listing and, above the cap, the one
+    # violation shown both come from it.  Only that violation needs a cut's
+    # defect, so a listed table never names one.
+    path = files["dir"] / "w.ptop"
+    path.write_text(serialize_pspace(make()), encoding="utf-8")
+    counted.update(_separation=0, _mask_defect=0)
+    got, out, got_err = run(capsys, "validate", str(path))
+    assert (got, out.count("\n"), got_err) == (code, lines, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert counted == {"_separation": 1, "_mask_defect": defects}
+
+
+def test_verify_pairwise_names_no_cut_defect(counted):
+    listed = above_the_cap(10, dense=True)
+    counted.update(_separation=0, _mask_defect=0)
+    assert len(verify_pairwise(listed)) == 1179
+    assert counted == {"_separation": 1, "_mask_defect": 0}
+
+
 def test_validate_exhaustive_golden(files, capsys):
     code, out, _ = run(capsys, "validate", files["bad"], "--exhaustive")
     assert code == 1

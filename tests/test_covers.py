@@ -17,9 +17,7 @@ from ptop import (
     connectivity_threshold,
     disconnection_witness,
     from_topology,
-    is_qcompact,
     is_qconnected,
-    is_qcover,
     min_subcover,
     qcover_witness,
     random_pspace,
@@ -46,7 +44,7 @@ def test_cover_validation():
 
 
 def test_qcover_examples():
-    assert is_qcover(P1, Cover(2, (0b01, 0b10)), 0.3)
+    assert qcover_witness(P1, Cover(2, (0b01, 0b10)), 0.3) is None
     defect = qcover_witness(P1, Cover(2, (0b01, 0b10)), 0.4)
     assert defect.kind == "low-probability" and defect.mask == 0b10
     defect = qcover_witness(P1, Cover(2, (0b01,)), 0.0)
@@ -62,8 +60,8 @@ def test_qcover_monotone_downward_in_q():
         cover = Cover(n, members)
         hi = rng.unit()
         lo = hi * rng.unit()
-        if is_qcover(p, cover, hi):
-            assert is_qcover(p, cover, lo)
+        if qcover_witness(p, cover, hi) is None:
+            assert qcover_witness(p, cover, lo) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -72,16 +70,8 @@ def test_qcover_monotone_downward_in_q_on_many_level_spaces(w, data):
     cover = Cover(w.n, tuple(data.draw(st.sets(st.integers(0, (1 << w.n) - 1), max_size=3))))
     level = st.sampled_from(PALETTE_LEVELS) | st.floats(0, 1)
     lo, hi = sorted((data.draw(level), data.draw(level)))
-    if is_qcover(w, cover, hi):
-        assert is_qcover(w, cover, lo)
-
-
-def test_qcompact_is_trivially_true():
-    for q in (0.0, 0.5, 1.0):
-        verdict = is_qcompact(P1, q)
-        assert verdict and verdict.rationale == "finite-trivial"
-    empty = as_pspace(build(0, []))
-    assert is_qcompact(empty, 0.0)
+    if qcover_witness(w, cover, hi) is None:
+        assert qcover_witness(w, cover, lo) is None
 
 
 def test_min_subcover_examples():

@@ -27,20 +27,19 @@ from ptop import (
     SplitMix64,
     WeightTable,
     as_pspace,
+    bits,
     build,
     complete,
     compose,
     compress,
     connectivity_threshold,
     decompose,
-    decompress,
     disconnection_witness,
     format_probability,
     full_mask,
     identity_map,
     inclusion_map,
-    is_partition,
-    is_qcompact,
+    is_qconnected,
     level_cut,
     min_subcover,
     parse_mask_token,
@@ -51,13 +50,10 @@ from ptop import (
     qcover_witness,
     from_topology,
     random_pspace,
-    random_topology,
     reconstruct,
     serialize_pmap,
     serialize_pspace,
-    submasks,
     subspace,
-    subspace_prob,
     topology_closure,
     topology_defect,
     verify_pairwise,
@@ -95,9 +91,9 @@ P2 = as_pspace(W2)
         (lambda: prob(W2, 1.5), "mask must be an integer, got 1.5"),
         (lambda: Cover(2, (1.5, 3)), "cover member must be an integer, got 1.5"),
         (lambda: PointMap(2, 2, (0, 1.5)), "image must be an integer, got 1.5"),
-        (lambda: subspace_prob(P2, 1, 1.5), "mask must be an integer, got 1.5"),
+        (lambda: q_open(P2, 1.5, 0.5), "mask must be an integer, got 1.5"),
+        (lambda: subspace(P2, 1.5), "mask must be an integer, got 1.5"),
         (lambda: compress(1.5, 3), "mask must be an integer, got 1.5"),
-        (lambda: decompress(1.5, 3), "mask must be an integer, got 1.5"),
         (lambda: compress(1, 3.0), "mask must be an integer, got 3.0"),
         (lambda: level_cut(P2, "0.5"), "threshold must be a real number, got '0.5'"),
         (lambda: q_open(P2, 1, None), "threshold must be a real number, got None"),
@@ -136,7 +132,7 @@ P2 = as_pspace(W2)
         (lambda: random_pspace(3, 1.5, 0), "level count must be an integer, got 1.5"),
         (lambda: random_pspace(3, 1, None), "seed must be an integer, got None"),
         (lambda: full_mask(1.5), "ground size must be an integer, got 1.5"),
-        (lambda: list(submasks(1.5)), "mask must be an integer, got 1.5"),
+        (lambda: list(bits(1.5)), "mask must be an integer, got 1.5"),
         (lambda: format_probability(None), "probability must be a real number, got None"),
         (lambda: SplitMix64(1).below(0), "bound must be at least 1, got 0"),
         (lambda: SplitMix64(1).below(None), "bound must be an integer, got None"),
@@ -154,11 +150,10 @@ P2 = as_pspace(W2)
         ),
         (lambda: min_subcover(None), "expected a cover, got None"),
         (lambda: qcover_witness(P2, 5, 0.5), "expected a cover, got 5"),
-        (lambda: is_qcompact(None, "x"), "expected a weight table, got None"),
-        (lambda: is_qcompact(P2, "x"), "threshold must be a real number, got 'x'"),
+        (lambda: is_qconnected(None, 0.5), "expected a weight table, got None"),
+        (lambda: is_qconnected(P2, "x"), "threshold must be a real number, got 'x'"),
         (lambda: compose(PointMap(1, 1, (0,)), None), "expected a point map, got None"),
         (lambda: serialize_pmap(5), "expected a point map, got 5"),
-        (lambda: random_topology(3, None), "expected a SplitMix64 generator, got None"),
         (lambda: parse_pspace(None), "document must be a str, got None"),
         (lambda: parse_pmap(b"pmap 1"), "document must be a str, got b'pmap 1'"),
     ],
@@ -210,7 +205,6 @@ def test_ints_past_the_decimal_digit_limit_are_named_in_hex():
         (lambda: prob(p, huge), MaskOutOfRange, f"mask {huge:#x} out of range for ground size 1"),
         (lambda: full_mask(-huge), MaskOutOfRange, f"ground size must be non-negative, got {-huge:#x}"),
         (lambda: compress(huge, 3), NotASubset, f"mask {huge:#x} is not contained in 3"),
-        (lambda: subspace_prob(p, 1, huge), NotASubset, f"mask {huge:#x} is not contained in subspace 1"),
         (lambda: PointMap(1, 1, (huge,)), PointOutOfRange, f"image {huge:#x} of point 0 outside ground set of size 1"),
         (lambda: random_pspace(1, huge, 0), CapExceeded, f"level count {huge:#x} exceeds cap 2^{N_MAX}"),
         (lambda: level_cut(p, huge), ProbabilityOutOfRange, f"threshold {huge:#x} is beyond the float range"),
@@ -335,7 +329,6 @@ CHAIN_ARGS = (2, (0.5, 1.0), (frozenset({0, 1, 3}), frozenset({0, 3})), 0.25)
 # Text keeps its value: the parsers' documents and tokens have their own
 # tests (test_fileio.py), and a report kind is a label that no function reads.
 SWEEP_CALLS = {
-    "CompactnessVerdict": (True, "finite-trivial"),
     "Cover": (2, (1, 2, 3)),
     "CoverDefect": ("uncovered-point", 0, None),
     "FamilyViolation": ("union", (1, 2), 0.5, 0.25),
@@ -354,18 +347,14 @@ SWEEP_CALLS = {
     "connectivity_threshold": (P3,),
     "continuity_witness": (SWAP, P3, P3),
     "decompose": (P3,),
-    "decompress": (1, 3),
     "disconnection_witness": (P3, 0.25),
     "format_probability": (0.5,),
     "from_topology": (2, [0, 1, 3]),
     "full_mask": (2,),
     "identity_map": (2,),
     "inclusion_map": (1, 2),
-    "is_partition": (1, 2, 2),
     "is_pcontinuous": (SWAP, P3, P3),
-    "is_qcompact": (P3, 0.5),
     "is_qconnected": (P3, 0.5),
-    "is_qcover": (P3, COVER, 0.25),
     "level_cut": (P3, 0.5),
     "min_subcover": (COVER,),
     "parse_mask_token": ("0b11",),
@@ -376,13 +365,10 @@ SWEEP_CALLS = {
     "q_open": (P3, 1, 0.5),
     "qcover_witness": (P3, COVER, 0.25),
     "random_pspace": (3, 2, 7),
-    "random_topology": (3, ptop.SplitMix64(1)),
     "reconstruct": (LevelChain(*CHAIN_ARGS),),
     "serialize_pmap": (SWAP,),
     "serialize_pspace": (P3,),
-    "submasks": (5,),
     "subspace": (P3, 1),
-    "subspace_prob": (P3, 3, 1),
     "topology_closure": (3, [1, 6]),
     "topology_defect": (2, [0, 1, 3]),
     "verify_exhaustive": (W2,),
@@ -686,12 +672,10 @@ def test_a_numpy_ground_size_acts_as_its_value():
     for call in (
         lambda n: build(n, [(255, 0.5)]),
         full_mask,
-        lambda n: is_partition(15, 240, n),
         lambda n: inclusion_map(255, n),
         lambda n: topology_defect(n, [0, 1, 255]),
         lambda n: from_topology(n, [0, 255]),
         lambda n: topology_closure(n, [1]),
-        lambda n: random_topology(n, SplitMix64(1)),
         lambda n: random_pspace(n, 2, 1),
         lambda n: reconstruct(LevelChain(n, *chain, 0.0)),
     ):

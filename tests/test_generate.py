@@ -12,7 +12,6 @@ from ptop import (
     parse_pspace,
     reconstruct,
     random_pspace,
-    random_topology,
     serialize_pspace,
     topology_closure,
     verify_exhaustive,
@@ -68,17 +67,19 @@ def test_topology_closure_rejects_out_of_range_seeds(seed):
     assert isinstance(err.value, PtopError)
 
 
-def test_random_topology_is_topology():
-    rng = SplitMix64(13)
-    for _ in range(50):
-        assert is_classical_topology(4, random_topology(4, rng))
-
-
 def test_random_pspace_examples():
     out = random_pspace(4, 3, 42)
     assert verify_pairwise(out) == []
     assert random_pspace(0, 1, 999).table == (1.0,)
     assert random_pspace(4, 3, 42).table == out.table  # determinism
+
+
+def test_random_pspace_level_cuts_are_topologies():
+    # Each cut is the intersection of the closures of random subbases.
+    rng = SplitMix64(13)
+    for _ in range(50):
+        chain = decompose(random_pspace(4, 1 + rng.below(4), rng.next64()))
+        assert all(is_classical_topology(4, cut) for cut in chain.topologies)
 
 
 def test_random_pspace_argument_checks():

@@ -6,7 +6,7 @@ import pytest
 
 from ptop import (
     DimensionMismatch,
-    NotASubset,
+    NotAPSpace,
     PointMap,
     PointOutOfRange,
     PSpace,
@@ -25,8 +25,6 @@ from ptop import (
     preimage,
     random_pspace,
     subspace,
-    submasks,
-    subspace_prob,
     verify_pairwise,
 )
 from oracles import (
@@ -35,7 +33,6 @@ from oracles import (
     brute_pairwise,
     brute_subspace_prob,
     classically_continuous,
-    loop_subspace_prob,
     many_level_spaces,
     rng_for,
     spiked_tables,
@@ -49,42 +46,6 @@ def test_point_map_validation():
         PointMap(2, 1, (0, 1))
     with pytest.raises(ValueError):
         PointMap(2, 1, (0,))
-
-
-def test_subspace_prob_examples():
-    assert subspace_prob(P1, 0b01, 0b01) == 1.0
-    assert subspace_prob(P1, 0b01, 0b00) == 1.0
-    for a in range(4):
-        assert subspace_prob(P1, 0b11, a) == P1.table[a]
-    with pytest.raises(NotASubset):
-        subspace_prob(P1, 0b01, 0b10)
-
-
-def _check_subspace_prob(p, y):
-    in_range = all(0.0 <= v <= 1.0 for v in p.table)
-    for a in range(1 << p.n):
-        if a & ~y:
-            continue
-        got = subspace_prob(p, y, a)
-        assert type(got) is float
-        assert got.hex() == loop_subspace_prob(p.table, p.n, y, a).hex()
-        if in_range:
-            assert got == brute_subspace_prob(p.table, p.n, y, a)
-            assert got >= p.table[a]  # trace dominance
-
-
-def test_subspace_prob_matches_brute_force():
-    rng = rng_for(404)
-    for _ in range(30):
-        n = rng.below(6)
-        p = random_pspace(n, 1 + rng.below(3), rng.next64())
-        _check_subspace_prob(p, rng.below(1 << n) if n else 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(many_level_spaces(max_n=6), spiked_tables(max_n=6)), st.data())
-def test_subspace_prob_matches_brute_force_on_many_level_spaces(w, data):
-    _check_subspace_prob(w, data.draw(st.integers(0, full_mask(w.n))))
 
 
 def test_subspace_examples():
@@ -110,10 +71,42 @@ def test_subspace_matches_brute_trace_on_many_level_spaces(w, data):
     y = data.draw(st.integers(0, full_mask(w.n)))
     s = subspace(p, y)
     expected = [0.0] * (1 << y.bit_count())
-    for a in submasks(y):
+    for a in range(1 << p.n):
+        if a & ~y:
+            continue
         expected[compress(a, y)] = brute_subspace_prob(p.table, p.n, y, a)
     assert list(s.table) == expected
     assert brute_pairwise(s.table, s.n) == []
+
+
+def _check_trace(p, y):
+    s = subspace(p, y)
+    for a in range(1 << p.n):
+        if a & ~y:
+            continue
+        got = s.table[compress(a, y)]
+        assert got == brute_subspace_prob(p.table, p.n, y, a)
+        assert got >= p.table[a]  # trace dominance
+
+
+def test_subspace_matches_brute_trace():
+    rng = rng_for(404)
+    for _ in range(30):
+        n = rng.below(6)
+        p = random_pspace(n, 1 + rng.below(3), rng.next64())
+        _check_trace(p, rng.below(1 << n) if n else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spiked_tables(max_n=6), st.data())
+def test_subspace_of_a_spiked_table_is_its_trace_or_refused(w, data):
+    # A table that is no space is refused before any trace is taken.
+    y = data.draw(st.integers(0, full_mask(w.n)))
+    if brute_pairwise(w.table, w.n):
+        with pytest.raises(NotAPSpace):
+            subspace(w, y)
+    else:
+        _check_trace(w, y)
 
 
 def test_inclusion_map_examples():

@@ -2,6 +2,7 @@
 outside the package look up in it."""
 
 import ast
+from collections import Counter
 import importlib
 from pathlib import Path
 import runpy
@@ -93,6 +94,38 @@ def test_library_modules_use_every_name_they_import():
                     if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def test_every_library_definition_is_exported_or_used():
+    # A trim that drops a public name can leave behind the private helpers
+    # only it called, and no linter runs here to notice.  So each module-level
+    # def or class is exported by __init__.py or referenced in the package
+    # outside its own body.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(ptop.__file__).parent.glob("*.py"))
+    }
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    exported = set(names(trees.pop("__init__.py")))
+    used = Counter(name for tree in trees.values() for name in names(tree))
+    dead = [
+        f"{file}:{node.lineno} {node.name}"
+        for file, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and used[node.name] == Counter(names(node))[node.name]
+    ]
+    assert dead == []
 
 
 def test_only_core_turns_a_table_into_an_array():
