@@ -89,16 +89,16 @@ def cmd_validate(args) -> int:
         lines = [_family_line(v) for v in verify_exhaustive(w)]
         print("\n".join(lines) if lines else "ok")
         return 1 if lines else 0
-    decision = _decide(w)
-    try:
-        units, cand, blocks = _listing(w, *decision)
-    except CapExceeded as exc:
-        print(f"note: {exc}; one violation is shown", file=sys.stderr)
-        print(_pair_line(_violation(w, *decision)))
-        return 1
-    if not units and not cand.size:  # a valid table; an invalid one has candidates or unit reports
+    units, recon = _decide(w)
+    if not units and recon is None:
         print("ok")
         return 0
+    try:
+        cand, blocks = _listing(w)
+    except CapExceeded as exc:
+        print(f"note: {exc}; one violation is shown", file=sys.stderr)
+        print(_pair_line(_violation(w, units, recon)))
+        return 1
     sys.stdout.write("".join(_pair_line(r) + "\n" for r in units))
     texts = _formatted(w._array())
     for kind, a, b, low, target in blocks:
@@ -240,6 +240,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

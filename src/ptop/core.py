@@ -107,12 +107,16 @@ class WeightTable:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_ground_size(self.n))
+        refused = f"table for ground size {self.n} must list real numbers"
         try:
-            object.__setattr__(self, "table", tuple(map(float, self.table)))
+            given = tuple(self.table)
+            table = tuple(map(float, given))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidArgument(
-                f"table for ground size {self.n} must list real numbers ({exc})"
-            ) from None
+            raise InvalidArgument(f"{refused} ({exc})") from None
+        # float() returns a plain float as it is, and parses text, so only a table it changed can hold text.
+        if table != given and (text := [v for v in given if isinstance(v, (str, bytes, bytearray, memoryview))]):
+            raise InvalidArgument(f"{refused} (got {_name(text[0])})")
+        object.__setattr__(self, "table", table)
         if len(self.table) != 1 << self.n:
             raise InvalidArgument(
                 f"table for ground size {self.n} needs {1 << self.n} entries, "
@@ -431,25 +435,21 @@ def _violation(w: WeightTable, units, recon) -> ViolationReport | None:
     return ViolationReport(kind, a, b, min(w.table[a], w.table[b]), actual)
 
 
-def _listing(w: WeightTable, units, recon):
-    """(unit reports, candidate masks, :func:`_pair_reports` blocks) from ``w``'s decision: the one listing order.
+def _listing(w: WeightTable):
+    """(candidate masks, :func:`_pair_reports` blocks) of a table already decided invalid: the one listing order.
 
-    A valid table has no candidates; :class:`CapExceeded` is raised before any block is made.
+    Only masks above the least non-NaN value take part in pair reports (see
+    the module docstring); fmin skips NaN, and gives NaN, so no candidates,
+    on an all-NaN table.  :class:`CapExceeded` is raised before any block is made.
     """
     t = w._array()
-    if units or recon is not None:
-        # Only masks above the least non-NaN value take part in pair reports (see
-        # the module docstring); fmin skips NaN, and gives NaN, so no candidates,
-        # on an all-NaN table.
-        cand = np.nonzero(t > np.fmin.reduce(t))[0]
-    else:
-        cand = np.zeros(0, dtype=np.intp)
+    cand = np.nonzero(t > np.fmin.reduce(t))[0]
     if cand.size > 1 << PAIRWISE_CAP:
         raise CapExceeded(
             f"listing the violations of {cand.size} candidate masks is capped at "
             f"2^{PAIRWISE_CAP}"
         )
-    return units, cand, _pair_reports(t, cand)
+    return cand, _pair_reports(t, cand)
 
 
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
@@ -474,9 +474,10 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
-    reports, cand, blocks = _listing(w, *_decide(w))
-    if not cand.size:
+    reports, recon = _decide(w)
+    if not reports and recon is None:
         return reports
+    cand, blocks = _listing(w)
     # Reports share the table's floats and one int per candidate, all taken
     # in O(|C|) here; only A op B, which may be no candidate, is looked up
     # per report.
@@ -571,10 +572,11 @@ def _check_axioms(w: WeightTable) -> None:
         )
 
 
-def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None:
-    """Mark family i of ``families``, a sequence of iterables of masks, in the boolean row ``rows[i]``.
+def _mark(n: int, families, prefix: str | None = None) -> tuple[int, np.ndarray]:
+    """``n`` as a plain int, and the boolean rows that mark ``families``, a sequence of iterables of masks, one per row.
 
-    The one reader of mask families.  A block of rows at a time
+    The one reader of mask families; ``n`` is checked first, before the
+    rows of 2^n cells are made.  A block of rows at a time
     (:func:`_blocks`), each family is read once, with ``list``, into one
     int64 ``array("q")``, which takes what ``operator.index`` takes and
     refuses ints beyond int64; the block is range-checked in one pass and
@@ -586,6 +588,8 @@ def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None
     greatest mask.  With ``prefix``, the rows before it, or every row, go
     through :func:`_check_topologies` first.
     """
+    n = check_ground_size(n)
+    rows = np.zeros((len(families), 1 << n), dtype=bool)
     failed = len(families)
     for block in _blocks(n, len(families)):
         part, reads, buffer = families[block], [], array("q")
@@ -609,23 +613,12 @@ def _mark(n: int, rows: np.ndarray, families, prefix: str | None = None) -> None
     if prefix is not None:
         _check_topologies(n, rows[:failed], prefix)
     if failed == len(families):
-        return
+        return n, rows
     if got is None:
         raise InvalidArgument(f"mask family must be iterable, got {_name(families[failed])}")
     masks = [_index(m, "mask") for m in got]  # names the first non-integer
     check_mask(min(masks), n)  # beyond int64 is out of range
     check_mask(max(masks), n)
-
-
-def _family_mask(n: int, members) -> tuple[int, np.ndarray]:
-    """``n`` as a plain int, and the boolean table over the 2^n subsets that marks ``members``, read by :func:`_mark`.
-
-    ``n`` is checked first, before the table of 2^n entries is made.
-    """
-    n = check_ground_size(n)
-    member = np.zeros((1, 1 << n), dtype=bool)
-    _mark(n, member, (members,))
-    return n, member[0]
 
 
 def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:
@@ -641,9 +634,9 @@ def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:
     return out
 
 
-def _hull(parts, rows=()) -> np.ndarray:
+def _hull(parts) -> np.ndarray:
     """The table S -> OR{parts[x] : x in S} over the len(parts) points: O(2^n)."""
-    return _subset_fold(parts, np.bitwise_or, 0, rows)
+    return _subset_fold(parts, np.bitwise_or, 0)
 
 
 def _closure(n: int, member: np.ndarray) -> np.ndarray:
@@ -687,14 +680,12 @@ def _bad_partners(n: int, member: np.ndarray) -> np.ndarray:
     return r
 
 
-def _mask_defect(n: int, member: np.ndarray) -> tuple | None:
-    """:func:`topology_defect` of the family marked by the boolean table ``member``."""
+def _mask_defect(n: int, member: np.ndarray) -> tuple:
+    """:func:`topology_defect` of the family marked by the boolean table ``member``, which its caller found no topology."""
     if not member[0]:
         return ("missing-empty",)
     if not member[-1]:
         return ("missing-full",)
-    if np.array_equal(member, _closure(n, member)):
-        return None
     # The family holds the empty and full sets but is no topology, so some
     # pair escapes it: if no union does, the intersection count finds one.
     # Reversing the table complements every mask, which swaps | and &.
@@ -719,13 +710,15 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     On a finite ground set pairwise closure implies closure under
     arbitrary unions.
 
-    Closedness is decided in O(2^n) by comparing the family with its
-    closure.  Only a family that fails goes on to name its defect, from the
-    number of bad partners of every member, counted in O(n 2^n) for unions
-    and again for intersections: the first member with a bad partner is the
-    first row of the lexicographic order that holds an escaping pair.
+    Closedness is decided here, in O(2^n), by comparing the family with its
+    closure.  Only a family that fails goes on to name its defect
+    (:func:`_mask_defect`), from the number of bad partners of every member,
+    counted in O(n 2^n) for unions and again for intersections: the first
+    member with a bad partner is the first row of the lexicographic order
+    that holds an escaping pair.
     """
-    return _mask_defect(*_family_mask(n, opens))
+    n, member = _mark(n, (opens,))
+    return None if np.array_equal(member, _closure(n, member)) else _mask_defect(n, member[0])
 
 
 def _check_topologies(n: int, members: np.ndarray, prefix: str) -> None:
@@ -748,6 +741,5 @@ def from_topology(n: int, opens: Iterable[int]) -> PSpace:
     Under this embedding map continuity in the probabilistic sense
     coincides with classical continuity.
     """
-    n, member = _family_mask(n, opens)
-    _check_topologies(n, member[None], "not a topology")
-    return _pspace(member.astype(np.float64))
+    _, member = _mark(n, (opens,), "not a topology")
+    return _pspace(member[0].astype(np.float64))

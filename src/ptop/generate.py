@@ -6,12 +6,12 @@ of topologies are topologies), attach strictly increasing random levels
 ending at 1, and rebuild the table from the chain.  Every output passes
 the verifiers, and identical (n, k, seed) triples give bit-identical
 tables on every platform.  :func:`random_pspace` keeps the chain as
-boolean tables throughout: the subbases are marked by the mask reader
-that also serves the level-chain check (:func:`~ptop.core._mark`) and
-closed together a block of rows at a time, each closure is ANDed into the
-running intersection, and the table is filled from it by the same helper
-as :func:`~ptop.levels.reconstruct`, with no frozenset built and no
-member closed twice.
+boolean tables throughout: a block of subbases at a time, the mask reader
+that also serves the level-chain check (:func:`~ptop.core._mark`) returns
+their rows, which close together, each closure is ANDed into the running
+intersection, and the table is filled from it by the same helper as
+:func:`~ptop.levels.reconstruct`, with no frozenset built and no member
+closed twice.
 
 Determinism contract, pinned so seeds can be shared across tools:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, _blocks, _closure, _family_mask, _mark, _pspace
+from .core import PSpace, _blocks, _closure, _mark, _pspace
 from .errors import CapExceeded, InvalidArgument
 from .levels import _level_table
 # Unused here; benchmarks/spans.py patches this name in this namespace.
@@ -87,7 +87,7 @@ def topology_closure(n: int, seeds) -> frozenset[int]:
     containing x.  O(2^n) after marking the seeds, through
     :func:`~ptop.core._closure`.
     """
-    return frozenset(np.nonzero(_closure(*_family_mask(n, seeds)))[0].tolist())
+    return frozenset(np.flatnonzero(_closure(*_mark(n, (seeds,)))).tolist())
 
 
 def _subbasis(n: int, rng: SplitMix64) -> list[int]:
@@ -98,15 +98,14 @@ def _subbasis(n: int, rng: SplitMix64) -> list[int]:
 def _chain(n: int, subbases: list[list[int]]):
     """Yield the running intersections of the subbases' closures, in order.
 
-    The subbases are marked (:func:`~ptop.core._mark`) and closed a block of
-    rows at a time (:func:`~ptop.core._blocks`), so only one block's stack
-    is held; one boolean table is yielded per subbasis, updated in place.
+    A block of subbases at a time (:func:`~ptop.core._blocks`), the mask
+    reader (:func:`~ptop.core._mark`) returns their rows and they close
+    together, so only one block's stack is held; one boolean table is
+    yielded per subbasis, updated in place.
     """
     opens = np.ones(1 << n, dtype=bool)
     for block in _blocks(n, len(subbases)):
-        seeds = np.zeros((len(subbases[block]), 1 << n), dtype=bool)
-        _mark(n, seeds, subbases[block])
-        for closed in _closure(n, seeds):
+        for closed in _closure(*_mark(n, subbases[block])):
             opens &= closed
             yield opens
 

@@ -44,17 +44,17 @@ class LevelChain:
     def validate(self) -> None:
         """Raise unless the chain is well formed.
 
-        Checks, in this order: the levels, then each member's masks and
-        closedness (:class:`InvalidArgument`, :class:`MaskOutOfRange`,
-        :class:`NotATopology`), then nesting (:class:`ChainNotNested`), then
-        the base.  The error is that of checking the members one at a time,
-        first member first: an earlier member that is no topology is named
-        before a later member's build error, which the mask reader
-        :func:`~ptop.core._mark` words (a non-integer before a mask out of
-        range, the least such mask before the greatest).  Each member is
-        read once, and the members close a block of rows at a time, O(k 2^n)
-        for k members; one comparison of neighbouring rows then decides
-        nesting.
+        Checks, in this order: the ground size, the levels, then each
+        member's masks and closedness (:class:`InvalidArgument`,
+        :class:`MaskOutOfRange`, :class:`NotATopology`), then nesting
+        (:class:`ChainNotNested`), then the base.  The mask reader
+        :func:`~ptop.core._mark` reads the members and closes them, and its
+        error is that of checking them one at a time, first member first: an
+        earlier member that is no topology is named before a later member's
+        build error (a non-integer before a mask out of range, the least
+        such mask before the greatest).  Each member is read once, and the
+        members close a block of rows at a time, O(k 2^n) for k members; one
+        comparison of neighbouring rows then decides nesting.
         """
         self._member_tables()
 
@@ -77,8 +77,7 @@ class LevelChain:
                 raise InvalidArgument("levels must be strictly increasing")
         if levels[-1] != 1.0:
             raise InvalidArgument("the last level must be 1")
-        tables = np.zeros((len(topologies), 1 << n), dtype=bool)
-        _mark(n, tables, topologies, "chain member is not a topology")
+        _, tables = _mark(n, topologies, "chain member is not a topology")
         if (tables[1:] & ~tables[:-1]).any():
             raise ChainNotNested("each topology must contain the next one")
         if self.base is not None:

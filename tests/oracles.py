@@ -252,6 +252,21 @@ def classically_continuous(image, opens_dom, opens_cod) -> bool:
     return True
 
 
+def loop_pullback(f, target) -> WeightTable:
+    """The least weights on the domain of the point map ``f`` under which it
+    is continuous into the table ``target``: each domain mask takes the
+    largest value of a codomain mask whose preimage it is, else 0.  Each
+    preimage is built bit by bit from the point images."""
+    values = [0.0] * (1 << f.domain_n)
+    for a in range(1 << f.codomain_n):
+        pre = 0
+        for x, fx in enumerate(f.image):
+            if a >> fx & 1:
+                pre |= 1 << x
+        values[pre] = max(values[pre], target.table[a])
+    return WeightTable(f.domain_n, tuple(values))
+
+
 def brute_continuity_witness(image, dom_table, cod_table, cod_n):
     """The smallest codomain mask valued above its preimage, or None; each
     preimage is built bit by bit from the point images."""

@@ -24,7 +24,6 @@ from ptop import (
     level_cut,
     min_subcover,
     parse_pspace,
-    preimage,
     random_pspace,
     reconstruct,
     serialize_pspace,
@@ -39,6 +38,7 @@ from oracles import (
     brute_min_cover_indices,
     classically_continuous,
     is_classical_topology,
+    loop_pullback,
     random_weight_table,
     rng_for,
 )
@@ -101,14 +101,6 @@ def test_criterion_03_inclusions_are_continuous():
     report("criterion 3: subspace inclusions are continuous", failures, total)
 
 
-def _pullback_table(f: PointMap, target) -> WeightTable:
-    values = [0.0] * (1 << f.domain_n)
-    for a in range(1 << f.codomain_n):
-        b = preimage(f, a)
-        values[b] = max(values[b], target.table[a])
-    return WeightTable(f.domain_n, tuple(values))
-
-
 def test_criterion_04_composition_is_continuous():
     failures = total = 0
     rng = rng_for(4)
@@ -116,9 +108,9 @@ def test_criterion_04_composition_is_continuous():
         nx, ny, nz = rng.below(6), 1 + rng.below(5), 1 + rng.below(5)
         r = random_pspace(nz, 1 + rng.below(3), rng.next64())
         g = PointMap(ny, nz, tuple(rng.below(nz) for _ in range(ny)))
-        q = complete(_pullback_table(g, r))
+        q = complete(loop_pullback(g, r))
         f = PointMap(nx, ny, tuple(rng.below(ny) for _ in range(nx)))
-        p = complete(_pullback_table(f, q))
+        p = complete(loop_pullback(f, q))
         assert is_pcontinuous(f, p, q) and is_pcontinuous(g, q, r)  # both legs hold
         total += 1
         if not is_pcontinuous(compose(f, g), p, r):

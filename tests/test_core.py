@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 import copy
 import dataclasses
 import gc
@@ -20,6 +21,7 @@ from ptop import (
     CapExceeded,
     DuplicateMask,
     InvalidArgument,
+    LevelChain,
     MaskOutOfRange,
     NotAPSpace,
     NotATopology,
@@ -31,7 +33,9 @@ from ptop import (
     build,
     complete,
     from_topology,
+    level_cut,
     prob,
+    reconstruct,
     topology_defect,
     verify_exhaustive,
     verify_pairwise,
@@ -480,17 +484,37 @@ INVALID_PALETTES = (
 )
 
 
+@contextmanager
+def _defects_named_only_for_non_topologies():
+    """Wrap core._mask_defect to assert that each family it is handed is no topology.
+
+    Closedness is decided by its callers; it only names the defect.  Yields
+    the list of ground sizes it was called at.
+    """
+    inner, calls = ptop.core._mask_defect, []
+
+    def checked(n, member):
+        family = np.flatnonzero(member).tolist()
+        assert brute_topology_defect(n, family) is not None, (n, family)
+        calls.append(n)
+        return inner(n, member)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ptop.core, "_mask_defect", checked)
+        yield calls
+
+
 def _check_named_violation(w):
     # as_pspace and the constructor raise the same NotAPSpace, whose
     # violation is one the listing holds, and its first entry when that is a
-    # range or boundary report.
+    # range or boundary report.  The cut whose defect names it is no topology.
     listed = _nan_free(brute_pairwise(w.table, w.n))
     if not listed:
         assert as_pspace(w).table == w.table
         return
-    with pytest.raises(NotAPSpace) as expected:
+    with _defects_named_only_for_non_topologies(), pytest.raises(NotAPSpace) as expected:
         as_pspace(w)
-    with pytest.raises(NotAPSpace) as err:
+    with _defects_named_only_for_non_topologies(), pytest.raises(NotAPSpace) as err:
         PSpace(w.n, w.table)
     assert str(err.value) == str(expected.value)
     assert repr(err.value.violation) == repr(expected.value.violation)
@@ -518,6 +542,36 @@ def test_the_checkpoint_names_a_listed_violation_on_seeded_tables(n):
 @given(spiked_tables(max_n=7))
 def test_the_checkpoint_names_a_listed_violation_on_spiked_tables(w):
     _check_named_violation(w)
+
+
+def test_cut_defects_are_named_only_for_non_topologies():
+    # Besides the checkpoint's cut (_check_named_violation), each chain member
+    # reconstruct refuses, each family from_topology refuses and each family
+    # topology_defect finds no topology reach _mask_defect; a closed family never does.
+    with _defects_named_only_for_non_topologies() as calls:
+        for n in range(8):
+            for seed in range(6):
+                for k, palette in enumerate(INVALID_PALETTES[:2]):  # values in [0, 1]
+                    table = list(random_weight_table(n, rng_for(n, seed, k), palette).table)
+                    table[0] = table[-1] = 1.0
+                    w = WeightTable(n, tuple(table))
+                    levels = tuple(sorted({v for v in table if v > 0.0}))
+                    chain = LevelChain(n, levels, tuple(level_cut(w, q) for q in levels), 0.0)
+                    if verify_pairwise(w):
+                        with pytest.raises(NotATopology):
+                            reconstruct(chain)
+                    else:
+                        assert reconstruct(chain) == as_pspace(w)
+        refused_chains = len(calls)
+        rng = rng_for(2808)
+        for n in range(7):
+            for family in _random_families(rng, n, 100):
+                defect = topology_defect(n, family)
+                assert defect == brute_topology_defect(n, family)
+                if defect is not None:
+                    with pytest.raises(NotATopology):
+                        from_topology(n, family)
+    assert 0 < refused_chains < len(calls)
 
 
 def test_the_checkpoint_does_not_list_pair_reports(monkeypatch):

@@ -263,11 +263,33 @@ def test_numpy_integers_pass_as_sizes_masks_and_points():
     assert PointMap(n, n, np.array([1, 0])).image == (1, 0)
 
 
-@pytest.mark.parametrize("table", [np.zeros((2, 2)), ("a", 1.0), (1.0, None), (1.0, 1j), 5])
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.zeros((2, 2)), ("a", 1.0), (1.0, None), (1.0, 1j), 5,
+        # text that float() would parse
+        ("1", 1.0), (1.0, b"1"), ("1_0", 1.0), (" 1 ", 1.0), (1.0, bytearray(b"1")), (memoryview(b"1"), 1.0),
+    ],
+)
 def test_tables_of_non_numbers_are_invalid_arguments(table):
     with pytest.raises(InvalidArgument) as err:
         WeightTable(1, table)
     assert str(err.value).startswith("table for ground size 1 must list real numbers (")
+
+
+def test_text_entries_are_named_and_plain_floats_kept():
+    # build and the file reader refuse text as a value, so the constructor
+    # does too, naming the first text entry; a plain float entry is kept as
+    # the same object, so a NaN stays the NaN given.
+    for n, table, named in [(1, ("1_0", 1.0), "'1_0'"), (2, (1.0, 0.5, b"1", "1"), "b'1'")]:
+        with pytest.raises(InvalidArgument) as err:
+            WeightTable(n, table)
+        assert str(err.value).endswith(f"must list real numbers (got {named})")
+    with pytest.raises(InvalidArgument):
+        PSpace(1, ("1", b"1"))
+    nan = float("nan")
+    assert WeightTable(1, (nan, 1.0)).table[0] is nan
+    assert WeightTable(1, (np.float64(0.5), 1)).table == (0.5, 1.0)
 
 
 def test_real_thresholds_keep_their_answers():

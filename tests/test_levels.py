@@ -129,6 +129,16 @@ def test_an_earlier_members_defect_carries_no_later_build_error():
     assert str(err.value) == "mask family must be iterable, got 5"
 
 
+def test_a_bad_size_is_named_before_a_bad_level():
+    # The mask reader checks the size too, but only after the levels; the
+    # chain checks it first.
+    for levels in ((), (2.0,), (0.5,)):
+        for check in (LevelChain.validate, reconstruct):
+            with pytest.raises(MaskOutOfRange) as err:
+                check(LevelChain(-1, levels, (), None))
+            assert str(err.value) == "ground size must be non-negative, got -1"
+
+
 def test_reconstruct_validation_errors():
     topo = frozenset({0, 3})
     with pytest.raises(ChainNotNested):

@@ -22,7 +22,6 @@ from ptop import (
     identity_map,
     inclusion_map,
     is_pcontinuous,
-    preimage,
     random_pspace,
     subspace,
     verify_pairwise,
@@ -33,6 +32,7 @@ from oracles import (
     brute_pairwise,
     brute_subspace_prob,
     classically_continuous,
+    loop_pullback,
     many_level_spaces,
     rng_for,
     spiked_tables,
@@ -173,20 +173,11 @@ def test_inclusion_is_continuous_for_subspaces_on_many_level_spaces(w, data):
     assert continuity_witness(inclusion_map(y, w.n), subspace(w, y), w) is None
 
 
-def _pullback_table(f: PointMap, target) -> WeightTable:
-    # Smallest weights on the domain making f continuous into target.
-    values = [0.0] * (1 << f.domain_n)
-    for a in range(1 << f.codomain_n):
-        b = preimage(f, a)
-        values[b] = max(values[b], target.table[a])
-    return WeightTable(f.domain_n, tuple(values))
-
-
 def _check_composition(f: PointMap, g: PointMap, r):
     # Pull r back along g, then along f: both maps are continuous, so their
     # composite must be too.
-    q = complete(_pullback_table(g, r))
-    p = complete(_pullback_table(f, q))
+    q = complete(loop_pullback(g, r))
+    p = complete(loop_pullback(f, q))
     assert continuity_witness(f, p, q) is None
     assert continuity_witness(g, q, r) is None
     assert continuity_witness(compose(f, g), p, r) is None

@@ -128,6 +128,43 @@ def test_every_library_definition_is_exported_or_used():
     assert dead == []
 
 
+def test_every_private_parameter_is_passed():
+    # A defaulted parameter of a private module-level function that no call in
+    # the package passes only ever takes its default: dead code that the
+    # function's readers must still reason about.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(ptop.__file__).parent.glob("*.py"))
+    ]
+    defaulted = []  # (function, parameter, position, or None for keyword-only)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                positional = node.args.posonlyargs + node.args.args
+                first = len(positional) - len(node.args.defaults)
+                defaulted += [(node.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+                defaulted += [
+                    (node.name, a.arg, None)
+                    for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None
+                ]
+    passed = set()  # (function, parameter) pairs that some call passes
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+            for name, param, position in defaulted:
+                if name == func and (
+                    spread
+                    or any(k.arg == param for k in call.keywords)
+                    or (position is not None and len(call.args) > position)
+                ):
+                    passed.add((name, param))
+    assert defaulted and [f"{name}({param})" for name, param, _ in defaulted if (name, param) not in passed] == []
+
+
 def test_only_core_turns_a_table_into_an_array():
     # core keeps one read-only float64 array per table (WeightTable._array);
     # a module converting `.table` itself would pay for the conversion on
