@@ -64,8 +64,6 @@ def _pair_line(r: ViolationReport) -> str:
 
 
 def _family_line(v: FamilyViolation) -> str:
-    if v.kind == "range":
-        return f"range {v.members[0]} {_values(v)}"
     members = ",".join(str(m) for m in v.members) or "-"
     return f"{v.kind} family {members} {_values(v)}"
 

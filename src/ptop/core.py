@@ -28,8 +28,8 @@ violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
 minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
 The listing scans the upper triangle of C x C in O(|C|^2), on top of the
 O(n 2^n) decision, and then costs about as much as the reports it builds:
-each one is filled in as a plain object and then given its class
-(:func:`_reports`), with the cycle collector paused while the list grows.
+:func:`verify_pairwise` fills each one in as a plain object and then gives
+it its class, with the cycle collector paused while the list grows.
 Reports make no numbers of their own: their values are the table's float
 objects and their witnesses come from one int object per candidate, all
 gathered in O(|C|) per call, so a report holds about 185 bytes (tracemalloc,
@@ -113,8 +113,10 @@ class WeightTable:
             table = tuple(map(float, given))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgument(f"{refused} ({exc})") from None
-        # float() returns a plain float as it is, and parses text, so only a table it changed can hold text.
-        if table != given and (text := [v for v in given if isinstance(v, (str, bytes, bytearray, memoryview))]):
+        # float() keeps a plain float and parses as text an entry whose type has no __float__ or
+        # __index__ (str, bytes, any buffer), so only a table it changed can hold text.
+        numeric = ("__float__", "__index__")
+        if table != given and (text := [v for v in given if not any(hasattr(type(v), m) for m in numeric)]):
             raise InvalidArgument(f"{refused} (got {_name(text[0])})")
         object.__setattr__(self, "table", table)
         if len(self.table) != 1 << self.n:
@@ -171,10 +173,10 @@ class ViolationReport:
     """One axiom violation found by :func:`verify_pairwise`.
 
     Range and boundary reports are constructed as usual; union and
-    intersection reports, found by the pair scan, are built in bulk by
-    :func:`_reports` and cannot be told apart from constructed ones.  Their
-    ``required`` and ``actual`` are the float objects of the table's
-    ``table`` tuple, and reports share their witness ints.
+    intersection reports, found by the pair scan, are retagged from
+    :class:`_Bare` in :func:`verify_pairwise` and cannot be told apart
+    from constructed ones.  Their ``required`` and ``actual`` are float
+    objects of the table's ``table``, and reports share their witness ints.
     ``witness_b`` is None for range and boundary reports.  ``required``
     exceeds ``actual`` in every report (for an out-of-range value above 1
     the pair is ``(value, 1.0)``; for a NaN it is ``(1.0, nan)``).
@@ -355,34 +357,12 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
 class _Bare:
     """An empty class laid out as :class:`ViolationReport` is: an instance dict and weak references.
 
-    The frozen dataclass's ``__setattr__`` raises, so a report is filled
-    in as one of these, by plain attribute stores, and then takes on its
-    class.
+    :func:`verify_pairwise` fills a report in as one of these, its fields
+    set in field order by plain stores, and then sets its ``__class__``:
+    the frozen ``__init__``, five ``object.__setattr__`` calls, would cost
+    more than the rest of the listing.  Equality, hashing, repr, pickling
+    and ``vars()`` match a constructed report.
     """
-
-
-def _reports(kind, witness_a, witness_b, required, actual) -> list[ViolationReport]:
-    """The ``kind`` reports of parallel field lists, in order.
-
-    Each report is made as a :class:`_Bare` instance, its five fields set
-    in field order, and then its ``__class__`` is set to
-    :class:`ViolationReport`; the frozen ``__init__`` and its five
-    ``object.__setattr__`` calls would cost more than the rest of the
-    listing.  The fields are taken as given, so reports share the objects
-    of the lists.  Equality, hashing, repr, pickling and ``vars()`` match
-    a constructed report.
-    """
-    out = []
-    for a, b, req, act in zip(witness_a, witness_b, required, actual):
-        r = _Bare()
-        r.kind = kind
-        r.witness_a = a
-        r.witness_b = b
-        r.required = req
-        r.actual = act
-        r.__class__ = ViolationReport
-        out.append(r)
-    return out
 
 
 @contextmanager
@@ -391,7 +371,8 @@ def _gc_paused():
 
     Reports hold only atomic values, so a growing list of them forms no
     cycles, yet every few hundred new reports would set off a collection
-    pass over the young ones, and now and then over the whole list.
+    pass over the young ones, and now and then over the whole list.  The
+    pass owed runs inside the call: exit allocates right after re-enabling.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -486,9 +467,16 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     values = np.array([table[m] for m in masks], dtype=object)
     with _gc_paused():
         for kind, a, b, low, target in blocks:
-            witnesses = masks[a].tolist(), masks[b].tolist()
             actual = map(table.__getitem__, target.tolist())
-            reports += _reports(kind, *witnesses, values[low].tolist(), actual)
+            for wa, wb, req, act in zip(masks[a].tolist(), masks[b].tolist(), values[low].tolist(), actual):
+                r = _Bare()
+                r.kind = kind
+                r.witness_a = wa
+                r.witness_b = wb
+                r.required = req
+                r.actual = act
+                r.__class__ = ViolationReport
+                reports.append(r)
     return reports
 
 
@@ -516,7 +504,7 @@ def verify_exhaustive(w: WeightTable) -> list[FamilyViolation]:
     reports = [FamilyViolation("range", (r.witness_a,), r.required, r.actual) for r in ranges]
 
     cells = np.arange(t.size)
-    unions = _hull(cells)
+    unions = _subset_fold(cells, np.bitwise_or, 0)
     inters = _subset_fold(cells, np.bitwise_and, t.size - 1)
     mins = _subset_fold(t, lambda low, v, out: np.minimum(v, low, out=out), 1.0)
     for kind, targets in (("union", unions), ("intersection", inters)):
@@ -632,11 +620,6 @@ def _subset_fold(parts, op, empty, rows=()) -> np.ndarray:
     for x, part in enumerate(parts):
         op(out[..., : 1 << x], part, out=out[..., 1 << x : 2 << x])
     return out
-
-
-def _hull(parts) -> np.ndarray:
-    """The table S -> OR{parts[x] : x in S} over the len(parts) points: O(2^n)."""
-    return _subset_fold(parts, np.bitwise_or, 0)
 
 
 def _closure(n: int, member: np.ndarray) -> np.ndarray:

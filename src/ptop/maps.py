@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSpace, WeightTable, _check_table, _hull, _pspace, as_pspace
+from .core import PSpace, WeightTable, _check_table, _pspace, _subset_fold, as_pspace
 # Unused here; benchmarks/spans.py patches this name in this namespace.
 from .core import verify_pairwise  # noqa: F401
 from .errors import DimensionMismatch, InvalidArgument, PointOutOfRange
@@ -115,7 +115,7 @@ def continuity_witness(f: PointMap, p: WeightTable, q: WeightTable) -> int | Non
     point_pre = [0] * q.n
     for x, y in enumerate(f.image):
         point_pre[y] |= 1 << x
-    bad = p._array()[_hull(point_pre)] < q._array()
+    bad = p._array()[_subset_fold(point_pre, np.bitwise_or, 0)] < q._array()
     first = int(np.argmax(bad))
     return first if bad[first] else None
 

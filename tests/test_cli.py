@@ -190,6 +190,16 @@ def test_validate_exhaustive_golden(files, capsys):
     )
 
 
+def test_validate_exhaustive_refuses_a_value_out_of_range(files, capsys):
+    # The reader refuses values outside [0, 1], so the family scan never
+    # sees a range violation.
+    path = files["dir"] / "high.ptop"
+    path.write_text("ptop 1\nn 2\n1 1.5\n", encoding="utf-8")
+    assert run(capsys, "validate", str(path), "--exhaustive") == (
+        2, "", "error: value 1.5 for mask 1 not in [0, 1]\n"
+    )
+
+
 def test_validate_missing_file(files, capsys):
     code, _, err = run(capsys, "validate", str(files["dir"] / "nope.ptop"))
     assert code == 2 and "error:" in err

@@ -1,5 +1,7 @@
 """Every public function reports bad arguments with a PtopError."""
 
+from array import array
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -269,6 +271,7 @@ def test_numpy_integers_pass_as_sizes_masks_and_points():
         np.zeros((2, 2)), ("a", 1.0), (1.0, None), (1.0, 1j), 5,
         # text that float() would parse
         ("1", 1.0), (1.0, b"1"), ("1_0", 1.0), (" 1 ", 1.0), (1.0, bytearray(b"1")), (memoryview(b"1"), 1.0),
+        (array("b", b"1"), 1.0), (1.0, array("B", b"0.5")),
     ],
 )
 def test_tables_of_non_numbers_are_invalid_arguments(table):
@@ -290,6 +293,12 @@ def test_text_entries_are_named_and_plain_floats_kept():
     nan = float("nan")
     assert WeightTable(1, (nan, 1.0)).table[0] is nan
     assert WeightTable(1, (np.float64(0.5), 1)).table == (0.5, 1.0)
+    # float() parses as text only what has neither __float__ nor __index__.
+    for entry, value in [
+        (Decimal("0.1"), 0.1), (Fraction(1, 3), 1 / 3), (np.array(0.5), 0.5),
+        (np.float32(0.5), 0.5), (np.int64(1), 1.0), (True, 1.0),
+    ]:
+        assert WeightTable(1, (entry, 1.0)).table == (value, 1.0)
 
 
 def test_real_thresholds_keep_their_answers():

@@ -205,6 +205,9 @@ def test_parse_pmap_errors():
         ),
         (parse_pmap, "pmap 1\ndom ²\n", 2, "expected 'dom <size>'"),
         (parse_pmap, "pmap 1\ndom 1\ncod 1\n0 ²\n", 4, "expected '<point> <image>'"),
+        # an entry line of one or three tokens
+        (parse_pmap, "pmap 1\ndom 1\ncod 1\n0\n", 4, "expected '<point> <image>'"),
+        (parse_pmap, "pmap 1\ndom 1\ncod 1\n\n0 0 0\n", 5, "expected '<point> <image>'"),
         pytest.param(
             parse_pmap,
             "pmap 1\ndom 1\ncod 1\n" + "0" * 5000 + " 0\n",

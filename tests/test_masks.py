@@ -83,6 +83,9 @@ def test_negative_masks_raise_promptly_in_a_child():
 def test_bits_examples():
     assert list(bits(0b10110)) == [1, 2, 4]
     assert list(bits(0)) == []
+    with pytest.raises(MaskOutOfRange) as err:
+        list(bits(-1))
+    assert str(err.value) == "mask -1 is negative"
 
 
 @given(st.integers(0, (1 << 70) - 1))
