@@ -568,17 +568,17 @@ def _mark(n: int, families, prefix: str | None = None) -> tuple[int, np.ndarray]
     (:func:`_blocks`), each family is read once, with ``list``, into one
     int64 ``array("q")``, which takes what ``operator.index`` takes and
     refuses ints beyond int64; the block is range-checked in one pass and
-    marked with one scatter.  Reading stops at the first family that
-    fails, and its error is worded from the list read: :class:`InvalidArgument`
-    when it is not iterable (or raises TypeError while read) or holds a
-    member that is no integer, the first one named (bools and numpy
-    integers pass); else :class:`MaskOutOfRange` on its least and then its
-    greatest mask.  With ``prefix``, the rows before it, or every row, go
-    through :func:`_check_topologies` first.
+    marked with one scatter.  With ``prefix``, its rows before the first
+    family that fails are then decided (:func:`_first_defect`), and
+    :class:`NotATopology` raised there, so no later block is read.  Reading
+    stops at the first family that fails, and its error is worded from the
+    list read: :class:`InvalidArgument` when it is not iterable (or raises
+    TypeError while read) or holds a member that is no integer, the first
+    one named (bools and numpy integers pass); else :class:`MaskOutOfRange`
+    on its least and then its greatest mask.
     """
     n = check_ground_size(n)
     rows = np.zeros((len(families), 1 << n), dtype=bool)
-    failed = len(families)
     for block in _blocks(n, len(families)):
         part, reads, buffer = families[block], [], array("q")
         for family in part:
@@ -595,15 +595,15 @@ def _mark(n: int, families, prefix: str | None = None) -> tuple[int, np.ndarray]
         good = bad[0] if bad.size else masks.size
         rows[block][row[:good], masks[:good]] = True
         first = int(row[good]) if bad.size else len(reads)  # the first family that fails, if any
+        if prefix is not None and (defect := _first_defect(n, rows[block][:first])) is not None:
+            raise NotATopology(f"{prefix}: {' '.join(map(str, defect))}", defect)
         if first < len(part):
-            failed, got = block.start + first, reads[first] if bad.size else got
+            got = reads[first] if bad.size else got
             break
-    if prefix is not None:
-        _check_topologies(n, rows[:failed], prefix)
-    if failed == len(families):
+    else:
         return n, rows
     if got is None:
-        raise InvalidArgument(f"mask family must be iterable, got {_name(families[failed])}")
+        raise InvalidArgument(f"mask family must be iterable, got {_name(part[first])}")
     masks = [_index(m, "mask") for m in got]  # names the first non-integer
     check_mask(min(masks), n)  # beyond int64 is out of range
     check_mask(max(masks), n)
@@ -691,31 +691,20 @@ def topology_defect(n: int, opens: Iterable[int]) -> tuple | None:
     (in lexicographic order over sorted members) whose combination escapes
     the family.  Union defects are searched before intersection defects.
     On a finite ground set pairwise closure implies closure under
-    arbitrary unions.
-
-    Closedness is decided here, in O(2^n), by comparing the family with its
-    closure.  Only a family that fails goes on to name its defect
-    (:func:`_mask_defect`), from the number of bad partners of every member,
-    counted in O(n 2^n) for unions and again for intersections: the first
-    member with a bad partner is the first row of the lexicographic order
-    that holds an escaping pair.
+    arbitrary unions.  Decided by :func:`_first_defect`, as a chain member
+    and a :func:`from_topology` argument are.
     """
-    n, member = _mark(n, (opens,))
-    return None if np.array_equal(member, _closure(n, member)) else _mask_defect(n, member[0])
+    return _first_defect(*_mark(n, (opens,)))
 
 
-def _check_topologies(n: int, members: np.ndarray, prefix: str) -> None:
-    """Raise :class:`NotATopology`, led by ``prefix``, on the first row of ``members`` that is no topology.
+def _first_defect(n: int, rows: np.ndarray) -> tuple | None:
+    """The defect (:func:`_mask_defect`) of the first boolean row that differs from its closure, or None.
 
-    The boolean rows close a block at a time (:func:`_blocks`), O(2^n) per
-    row; only the first row that differs from its closure names its defect.
+    The rows close together, O(2^n) each; only the first that differs is
+    named, in O(n 2^n).
     """
-    for block in _blocks(n, len(members)):
-        rows = members[block]
-        bad = (rows != _closure(n, rows)).any(axis=1)
-        if bad.any():
-            defect = _mask_defect(n, rows[int(np.argmax(bad))])
-            raise NotATopology(f"{prefix}: {' '.join(map(str, defect))}", defect)
+    bad = (rows != _closure(n, rows)).any(axis=1)
+    return _mask_defect(n, rows[int(np.argmax(bad))]) if bad.any() else None
 
 
 def from_topology(n: int, opens: Iterable[int]) -> PSpace:

@@ -127,13 +127,11 @@ def random_pspace(n: int, k: int, seed: int) -> PSpace:
     interior: set[float] = set()
     while len(interior) < k - 1:
         u = rng.unit()
-        if 0.0 < u < 1.0:
+        if u > 0.0:
             interior.add(u)
     levels = tuple(sorted(interior)) + (1.0,)
     base_draw = rng.unit()  # always consumed, keeps the stream position fixed
-    base = base_draw * levels[0]
-    if base >= levels[0]:  # guard the rounding edge of the scaling
-        base = 0.0
+    base = base_draw * levels[0]  # below levels[0]: unit() < 1 and every level is normal
     # When the first topology is the whole powerset, every entry is
     # overwritten by a level and the base goes unused.
     return _pspace(_level_table(n, levels, _chain(n, subbases), base))

@@ -48,13 +48,13 @@ class LevelChain:
         member's masks and closedness (:class:`InvalidArgument`,
         :class:`MaskOutOfRange`, :class:`NotATopology`), then nesting
         (:class:`ChainNotNested`), then the base.  The mask reader
-        :func:`~ptop.core._mark` reads the members and closes them, and its
-        error is that of checking them one at a time, first member first: an
-        earlier member that is no topology is named before a later member's
-        build error (a non-integer before a mask out of range, the least
-        such mask before the greatest).  Each member is read once, and the
-        members close a block of rows at a time, O(k 2^n) for k members; one
-        comparison of neighbouring rows then decides nesting.
+        :func:`~ptop.core._mark` reads each member once and decides each
+        block of rows once marked, O(k 2^n) for k members, so reading stops
+        at the first block holding a non-topology.  Its error is that of
+        checking the members one at a time: an earlier member that is no
+        topology is named before a later member's build error (a non-integer
+        before a mask out of range, the least such mask before the
+        greatest).  One comparison of neighbouring rows then decides nesting.
         """
         self._member_tables()
 

@@ -15,6 +15,17 @@ from hypothesis import strategies as st
 from ptop import SplitMix64, WeightTable
 
 
+class Counted:
+    """A family of masks that counts how often it is iterated."""
+
+    def __init__(self, masks):
+        self.masks, self.reads = masks, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.masks)
+
+
 def rng_for(*parts: int) -> SplitMix64:
     """Deterministic per-case generator derived from test identifiers."""
     rng = SplitMix64(0xA5A5_0000)

@@ -62,7 +62,7 @@ from ptop import (
 )
 from ptop.fileio import _parse_probability_token
 import ptop
-from oracles import brute_topology_defect, is_classical_topology, spiked_tables
+from oracles import Counted, brute_topology_defect, is_classical_topology, spiked_tables
 
 TOPO = frozenset({0, 3})
 W2 = WeightTable(2, (1.0, 0.0, 0.0, 1.0))
@@ -542,17 +542,6 @@ def test_mask_readers_raise_or_return_verified_objects():
     assert failures == []
 
 
-class _Counted:
-    """A family of masks that counts how often it is iterated."""
-
-    def __init__(self, masks):
-        self.masks, self.reads = masks, 0
-
-    def __iter__(self):
-        self.reads += 1
-        return iter(self.masks)
-
-
 @pytest.mark.parametrize("masks", [(0, 1, 3), (0, 1, 2), (0, 1.5, 3), (0, 3, 9), (0, 3, 2**70)])
 def test_each_family_is_iterated_once(masks):
     # A family's error is worded from the masks read, not by reading it again.
@@ -563,7 +552,7 @@ def test_each_family_is_iterated_once(masks):
         lambda f: LevelChain(2, (0.5, 1.0), (f, frozenset({0, 3})), 0.0).validate(),
         lambda f: reconstruct(LevelChain(2, (0.5, 1.0), (FULL, f), 0.0)),
     ):
-        family = _Counted(masks)
+        family = Counted(masks)
         try:
             call(family)
         except PtopError:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -38,6 +39,22 @@ def test_splitmix64_derived_draws():
     assert 0.0 <= u < 1.0
     assert SplitMix64(42).unit() == u
     assert SplitMix64(7).below(10) == SplitMix64(7).next64() % 10
+
+
+def test_a_scaled_unit_draw_stays_below_its_level():
+    # random_pspace scales its base draw by the least level with no guard:
+    # the largest unit() is below 1, and under round-to-nearest its product
+    # with any level in [2**-53, 1] (every one a normal float) stays below
+    # that level.  Rounding is monotone in u, so the largest u covers them all.
+    top = ((2**64 - 1) >> 11) * 2**-53
+    assert top < 1.0
+    powers = [2.0**-e for e in range(54)]
+    levels = powers + [math.nextafter(q, 0.0) for q in powers] + [math.nextafter(q, 1.0) for q in powers]
+    rng = rng_for(3101)
+    levels += [(1 + rng.below(2**53)) * 2**-53 for _ in range(100_000)]
+    levels = [q for q in levels if 2**-53 <= q <= 1.0]
+    assert len(levels) > 100_000
+    assert all(top * q < q for q in levels)
 
 
 def test_topology_closure():

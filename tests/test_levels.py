@@ -31,6 +31,7 @@ from ptop import (
 )
 import ptop
 from oracles import (
+    Counted,
     all_topologies,
     brute_closure,
     brute_topology_defect,
@@ -375,6 +376,17 @@ def test_chain_members_are_checked_in_order(monkeypatch, fold_cells):
             expected = ("NotATopology", ("union", 1, 2)) if third is bad else (form[1], None) if form[1] else None
             assert member_outcome(3, forms, topos) == expected
             assert chain_members_outcome(3, forms, topos) == expected
+
+
+def test_a_chain_is_read_no_further_than_its_first_bad_block(monkeypatch):
+    # At 16 cells per block two members of 8 cells share a block.  The first
+    # block holds a member that is no topology, so it is named there and the
+    # member in the second block is never read.
+    monkeypatch.setattr(ptop.core, "_BLOCK_CELLS", 16)
+    third = Counted((0, 7))
+    with pytest.raises(NotATopology) as err:
+        LevelChain(3, (0.25, 0.5, 1.0), ({0, 1, 2, 7}, set(range(8)), third), 0.0).validate()
+    assert err.value.defect == ("union", 1, 2) and third.reads == 0
 
 
 NAN = float("nan")

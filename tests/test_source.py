@@ -248,6 +248,24 @@ def test_one_function_reads_mask_families_into_a_buffer():
     assert sorted(set(readers)) == ["core._mark"]
 
 
+def test_one_function_compares_families_with_their_closure():
+    # core._first_defect is the one decision whether boolean family rows are
+    # topologies; the generator's two callers only build closures.  Another
+    # caller of _closure would be a second decision, with its own pass over
+    # rows the mask reader has already read.
+    callers = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_closure"
+                ]
+    assert sorted(set(callers)) == ["core._first_defect", "generate._chain", "generate.topology_closure"]
+
+
 def test_library_reads_no_environment():
     # The library's behaviour depends on its arguments alone: no environment
     # variable sets a cap or an option, so the suite and the benchmark give the
