@@ -27,13 +27,12 @@ masks C, those valued strictly above m, the least non-NaN value: a pair
 violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
 minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
 The listing scans the upper triangle of C x C in O(|C|^2), on top of the
-O(n 2^n) decision, and then costs about as much as the reports it builds:
-:func:`verify_pairwise` fills each one in as a plain object and then gives
-it its class, with the cycle collector paused while the list grows.
-Reports make no numbers of their own: their values are the table's float
-objects and their witnesses come from one int object per candidate, all
-gathered in O(|C|) per call, so a report holds about 185 bytes (tracemalloc,
-CPython 3.11).
+O(n 2^n) decision, and then costs about as much as the reports it builds,
+each filled in slot by slot and then given its class, with the cycle
+collector paused.  Reports make no numbers of their own: their values are
+the table's float objects and their witnesses one int object per
+candidate, all gathered in O(|C|) per call, so a report holds 88 bytes,
+its list entry included (tracemalloc, CPython 3.11).
 
 A classical topology is the 0/1 table of its family (:func:`from_topology`).
 A family is one exactly when it equals its closure: the sets holding, with
@@ -168,25 +167,39 @@ def _pspace(array: np.ndarray, table: tuple[float, ...] | None = None) -> PSpace
     return p
 
 
+class _ReportFields:
+    """The storage of :class:`ViolationReport`, five fields and weak references in slots, without its frozen ``__init__``."""
+
+    __slots__ = ("kind", "witness_a", "witness_b", "required", "actual", "__weakref__")
+
+
 @dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(_ReportFields):
     """One axiom violation found by :func:`verify_pairwise`.
 
-    Range and boundary reports are constructed as usual; union and
-    intersection reports, found by the pair scan, are retagged from
-    :class:`_Bare` in :func:`verify_pairwise` and cannot be told apart
-    from constructed ones.  Their ``required`` and ``actual`` are float
-    objects of the table's ``table``, and reports share their witness ints.
-    ``witness_b`` is None for range and boundary reports.  ``required``
-    exceeds ``actual`` in every report (for an out-of-range value above 1
-    the pair is ``(value, 1.0)``; for a NaN it is ``(1.0, nan)``).
+    Union and intersection reports are filled in there as
+    :class:`_ReportFields` and retagged, and cannot be told apart from
+    constructed ones; their ``required`` and ``actual`` are the table's own
+    float objects, and reports share their witness ints.  ``witness_b`` is
+    None for range and boundary reports.  ``required`` exceeds ``actual``
+    in every report (for an out-of-range value above 1 the pair is
+    ``(value, 1.0)``; for a NaN it is ``(1.0, nan)``).
     """
+
+    __slots__ = ()
 
     kind: Literal["range", "boundary", "union", "intersection"]
     witness_a: int
     witness_b: int | None
     required: float
     actual: float
+
+    @property
+    def __dict__(self):  # vars() gives the fields in field order, as for a report with an instance dict
+        return {name: getattr(self, name) for name in _ReportFields.__slots__[:5]}
+
+    def __reduce__(self):  # the frozen __setattr__ refuses pickle's default slot state
+        return type(self), (self.kind, self.witness_a, self.witness_b, self.required, self.actual)
 
 
 @dataclass(frozen=True)
@@ -354,25 +367,14 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
             start += rows
 
 
-class _Bare:
-    """An empty class laid out as :class:`ViolationReport` is: an instance dict and weak references.
-
-    :func:`verify_pairwise` fills a report in as one of these, its fields
-    set in field order by plain stores, and then sets its ``__class__``:
-    the frozen ``__init__``, five ``object.__setattr__`` calls, would cost
-    more than the rest of the listing.  Equality, hashing, repr, pickling
-    and ``vars()`` match a constructed report.
-    """
-
-
 @contextmanager
 def _gc_paused():
     """Pause the cycle collector, and re-enable it on exit only if it was on.
 
-    Reports hold only atomic values, so a growing list of them forms no
-    cycles, yet every few hundred new reports would set off a collection
-    pass over the young ones, and now and then over the whole list.  The
-    pass owed runs inside the call: exit allocates right after re-enabling.
+    Reports hold only atomic values in slots, so a growing list of them
+    forms no cycles, yet every few hundred new reports would set off a
+    collection pass over the young ones, now and then over the whole list.
+    The pass owed runs inside the call: exit allocates right after re-enabling.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -442,8 +444,8 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     on to list its union and intersection violations, scanning the pairs of
     its candidate masks C, those valued strictly above the table's least
     non-NaN value, in O(|C|^2), upper triangle only.  Each pair report then
-    costs about as much as the report object itself, built without its
-    constructor from the table's own values; the cycle collector is paused
+    costs about as much as the report object itself, its slots filled
+    without its constructor from the table's own values; the collector is paused
     while the list grows, and its state is restored on return or raise.
     :class:`CapExceeded` is raised when an invalid table has more than
     2^PAIRWISE_CAP candidates.
@@ -459,9 +461,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     if not reports and recon is None:
         return reports
     cand, blocks = _listing(w)
-    # Reports share the table's floats and one int per candidate, all taken
-    # in O(|C|) here; only A op B, which may be no candidate, is looked up
-    # per report.
+    # The table's floats and one int per candidate; only A op B, maybe no candidate, is looked up per report.
     table = w.table
     masks = cand.astype(object)
     values = np.array([table[m] for m in masks], dtype=object)
@@ -469,7 +469,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
         for kind, a, b, low, target in blocks:
             actual = map(table.__getitem__, target.tolist())
             for wa, wb, req, act in zip(masks[a].tolist(), masks[b].tolist(), values[low].tolist(), actual):
-                r = _Bare()
+                r = _ReportFields()
                 r.kind = kind
                 r.witness_a = wa
                 r.witness_b = wb

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 import weakref
@@ -931,6 +932,33 @@ def test_bulk_built_reports_cannot_be_told_apart():
         assert dataclasses.replace(r, actual=-1.0) == dataclasses.replace(c, actual=-1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.actual = -1.0
+        assert weakref.ref(r)() is r
+        assert copy.copy(r) == c and copy.deepcopy(r) == c
+        assert dataclasses.asdict(r) == dataclasses.asdict(c)
+        fields = vars(r)
+        fields["actual"] = -1.0
+        assert r == c and vars(r) == vars(c)
+        with pytest.raises(AttributeError):
+            object.__setattr__(r, "extra", 1)
+
+
+def test_pair_reports_are_one_small_object_each():
+    # A pair report is one allocation: its fields sit in slots, with no
+    # instance dict, so it refers to its five field values and its type only.
+    rng = ptop.SplitMix64(7)
+    w = build(8, [(m, rng.unit()) for m in range(256)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = verify_pairwise(w)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 19_021
+    assert held / len(reports) <= 100
+    for r in reports:
+        expected = [getattr(r, f.name) for f in dataclasses.fields(r)] + [type(r)]
+        assert sorted(map(id, gc.get_referents(r))) == sorted(map(id, expected))
 
 
 def _bits(values):
