@@ -15,6 +15,7 @@ from pathlib import Path
 from .core import (
     FamilyViolation,
     ViolationReport,
+    _candidates,
     _decide,
     _listing,
     _violation,
@@ -91,14 +92,16 @@ def cmd_validate(args) -> int:
     if not units and recon is None:
         print("ok")
         return 0
+    t = w._array()
+    cand = _candidates(t)
     try:
-        cand, blocks = _listing(w)
+        blocks = _listing(t, cand)
     except CapExceeded as exc:
         print(f"note: {exc}; one violation is shown", file=sys.stderr)
         print(_pair_line(_violation(w, units, recon)))
         return 1
     sys.stdout.write("".join(_pair_line(r) + "\n" for r in units))
-    texts = _formatted(w._array())
+    texts = _formatted(t)
     for kind, a, b, low, target in blocks:
         rows = zip(cand[a].tolist(), cand[b].tolist(), cand[low].tolist(), target.tolist())
         sys.stdout.write("".join(f"{kind} {x} {y} required {texts[r]} actual {texts[v]}\n" for x, y, r, v in rows))

@@ -18,16 +18,22 @@ x of the intersection over y of the A(x, y), so p(S) is at least that
 minimum, and A = S gives at most.  Reading any table through its matrix
 and back, recon(T_w), always yields a valid space, and the least one
 dominating w.  Hence an in-range table is valid exactly when it equals
-recon(T_w), which :func:`verify_pairwise` and :func:`complete` check and
-build in O(n 2^n): both directions work per point x, one fold of 2^n cells
-each (see :func:`_separation` and :func:`_recon`).
+recon(T_w), which :func:`_decide` checks and :func:`complete` builds in
+O(n 2^n): both directions work per point x, one fold of 2^n cells each
+(see :func:`_separation` and :func:`_recon`).
 
-Listing the violations of an invalid table needs only the candidate
-masks C, those valued strictly above m, the least non-NaN value: a pair
-violation has t[A op B] < min(t[A], t[B]), NaN compares false and the
-minimum propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.
-The listing scans the upper triangle of C x C in O(|C|^2), on top of the
-O(n 2^n) decision, and then costs about as much as the reports it builds,
+Listing the violations of a table needs only the candidate masks C,
+those valued strictly above m, the least non-NaN value: a pair violation
+has t[A op B] < min(t[A], t[B]), NaN compares false and the minimum
+propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.  The
+listing scans the upper triangle of C x C in O(|C|^2), and so decides too:
+a table with no range, boundary or pair report is valid.  So
+:func:`verify_pairwise` only lists when 4 |C|^2 <= n 2^n, and above that
+edge decides first and lists an invalid table only.  The factor 4 is the
+measured cost ratio at n = 16: about 5-13 ns per scanned pair cell against
+2.2-3.1 ns for each of the decision's 2 n 2^n cells.  The edge is |C| <= 50
+at n = 10 and |C| <= 2,289 at n = 20, below the listing cap.  Past the
+scan, the listing costs about as much as the reports it builds,
 each filled in slot by slot and then given its class, with the cycle
 collector paused.  Reports make no numbers of their own: their values are
 the table's float objects and their witnesses one int object per
@@ -345,9 +351,10 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
     ``target`` is the mask A op B.  On a tie of -0.0 and 0.0 np.minimum
     returns its second argument, so the part is A only where the minimum
     has t[A]'s bits.  A block takes the columns from its own first row on,
-    and holds at most 1/8 as many rows as columns, so at most about 1/16 of
-    its cells have B < A; it spans at most _BLOCK_CELLS cells, or one row.
-    At least 128 rows keep a small candidate set in one block.
+    so only its leading rows x rows square can have B < A, and only that
+    square is masked.  It holds at most 1/8 as many rows as columns and
+    spans at most _BLOCK_CELLS cells, or one row; at least 128 rows keep a
+    small candidate set in one block.
     """
     for kind, op in _PAIR_OPS:
         start = 0
@@ -355,10 +362,11 @@ def _pair_reports(t: np.ndarray, cand: np.ndarray):
             cols = cand.size - start
             rows = max(1, min(max(128, cols >> 3), _BLOCK_CELLS // cols))
             a = cand[start : start + rows, None]
-            b = cand[None, start:]  # pairs with B < A are never reported
+            b = cand[None, start:]
             ta = t[a]
             req = np.minimum(ta, t[b])
-            bad = (t[op(a, b)] < req) & (b >= a)
+            bad = t[op(a, b)] < req
+            bad[:, : a.size] &= b[:, : a.size] >= a  # pairs with B < A are never reported
             r, c = np.divmod(np.flatnonzero(bad), cols)  # 2-D nonzero is slower
             on_a = req[r, c].view(np.uint64) == ta[r, 0].view(np.uint64)
             r += start
@@ -389,7 +397,10 @@ def _decide(w: WeightTable) -> tuple[list[ViolationReport], np.ndarray | None]:
     """(unit reports, recon(T_w)): the one decision of validity, O(n 2^n); a space has neither.
 
     recon(T_w) is left out when a unit report comes first, and when ``w``
-    equals it (see the module docstring).
+    equals it (see the module docstring).  The checkpoint (:func:`as_pspace`,
+    :class:`PSpace`) and ``ptop validate`` always decide here: both name a
+    violation from recon(T_w) (:func:`_violation`), the latter above the
+    listing cap.  :func:`verify_pairwise` decides here above its listing edge only.
     """
     _check_table(w)
     t = w._array()
@@ -418,37 +429,37 @@ def _violation(w: WeightTable, units, recon) -> ViolationReport | None:
     return ViolationReport(kind, a, b, min(w.table[a], w.table[b]), actual)
 
 
-def _listing(w: WeightTable):
-    """(candidate masks, :func:`_pair_reports` blocks) of a table already decided invalid: the one listing order.
+def _candidates(t: np.ndarray) -> np.ndarray:
+    """The masks valued above the least non-NaN value, the only parts of pair reports; none if all are NaN."""
+    return np.nonzero(t > np.fmin.reduce(t))[0]  # fmin skips NaN, and gives NaN on an all-NaN table
 
-    Only masks above the least non-NaN value take part in pair reports (see
-    the module docstring); fmin skips NaN, and gives NaN, so no candidates,
-    on an all-NaN table.  :class:`CapExceeded` is raised before any block is made.
-    """
-    t = w._array()
-    cand = np.nonzero(t > np.fmin.reduce(t))[0]
+
+def _listing(t: np.ndarray, cand: np.ndarray):
+    """The :func:`_pair_reports` blocks over ``cand``, the one listing order; :class:`CapExceeded` comes before any block."""
     if cand.size > 1 << PAIRWISE_CAP:
         raise CapExceeded(
             f"listing the violations of {cand.size} candidate masks is capped at "
             f"2^{PAIRWISE_CAP}"
         )
-    return cand, _pair_reports(t, cand)
+    return _pair_reports(t, cand)
 
 
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     """List the axiom violations of ``w``; empty result == valid space.
 
-    Validity is decided in O(n 2^n) at any ground size: an in-range table
-    with its boundary at 1 is valid exactly when it equals its
-    reconstruction from its separation matrix.  Only an invalid table goes
-    on to list its union and intersection violations, scanning the pairs of
-    its candidate masks C, those valued strictly above the table's least
-    non-NaN value, in O(|C|^2), upper triangle only.  Each pair report then
-    costs about as much as the report object itself, its slots filled
-    without its constructor from the table's own values; the collector is paused
-    while the list grows, and its state is restored on return or raise.
-    :class:`CapExceeded` is raised when an invalid table has more than
-    2^PAIRWISE_CAP candidates.
+    Union and intersection violations are listed by scanning the pairs of
+    the candidate masks C, those valued strictly above the table's least
+    non-NaN value, in O(|C|^2), upper triangle only; a table without
+    reports is valid.  When 4 |C|^2 <= n 2^n the scan is the decision.
+    Above that edge validity is decided first, in O(n 2^n) (:func:`_decide`),
+    and only an invalid table goes on to the scan: a pair cell costs the
+    scan about four times what a cell costs the decision (see the module
+    docstring).  Each pair report then costs about as much as the report
+    object itself, its slots filled without its constructor from the
+    table's own values; the collector is paused while the list grows, and
+    its state is restored on return or raise.  :class:`CapExceeded` is
+    raised when an invalid table has more than 2^PAIRWISE_CAP candidates;
+    the edge keeps every table with that many above it.
 
     Report order is deterministic: range (ascending mask), boundary
     (empty then full), union pairs in lexicographic (A, B) order with
@@ -457,10 +468,16 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
-    reports, recon = _decide(w)
-    if not reports and recon is None:
-        return reports
-    cand, blocks = _listing(w)
+    _check_table(w)
+    t = w._array()
+    cand = _candidates(t)
+    if 4 * cand.size**2 <= w.n << w.n:
+        reports = _unit_reports(t)
+    else:
+        reports, recon = _decide(w)
+        if not reports and recon is None:
+            return reports
+    blocks = _listing(t, cand)
     # The table's floats and one int per candidate; only A op B, maybe no candidate, is looked up per report.
     table = w.table
     masks = cand.astype(object)

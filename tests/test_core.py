@@ -43,6 +43,7 @@ from ptop import (
 )
 import ptop
 from oracles import (
+    PALETTE_LEVELS,
     brute_closure,
     brute_complete,
     brute_families,
@@ -181,6 +182,102 @@ def test_verify_report_order_matches_brute_force():
                 for r in verify_pairwise(w)
             ]
             assert got == brute_pairwise(w.table, n)
+
+
+@pytest.fixture
+def separations(monkeypatch):
+    """Counts of the calls to core's O(n 2^n) validity decision, through its separation fold."""
+    calls = {"_separation": 0}
+
+    def count(*args, inner=ptop.core._separation):
+        calls["_separation"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(ptop.core, "_separation", count)
+    return calls
+
+
+def _below_the_edge(w):
+    # verify_pairwise lists without deciding when 4 |C|^2 <= n 2^n, C the
+    # masks valued above the table's least non-NaN value.
+    t = np.array(w.table)
+    c = int(np.count_nonzero(t > np.fmin.reduce(t)))
+    return 4 * c * c <= w.n << w.n
+
+
+def test_verify_pairwise_decides_only_above_the_listing_edge(separations):
+    # Valid spaces are brute_recon of a separation matrix with a random share
+    # of its entries above 0: a small share gives few candidates.  Every
+    # other table lowers one proper mask.  Each entry is its own float
+    # object, so identity names it.
+    rng = rng_for(3301)
+    seen = set()
+    for n in range(4, 8):
+        for trial in range(40):
+            share = rng.below(n * n + 1)
+            sep = [
+                [PALETTE_LEVELS[1 + rng.below(10)] if rng.below(n * n) < share else 0.0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            table = brute_recon(sep, n)
+            if trial % 2:
+                table[1 + rng.below((1 << n) - 2)] = PALETTE_LEVELS[rng.below(4)]
+            w = WeightTable(n, tuple(float(repr(v)) for v in table))
+            separations["_separation"] = 0
+            reports = verify_pairwise(w)
+            below = _below_the_edge(w)
+            assert separations["_separation"] == (0 if below else 1)
+            got = [(r.kind, r.witness_a, r.witness_b, r.required, r.actual) for r in reports]
+            assert got == brute_pairwise(w.table, n)
+            for r in reports:
+                a, b = r.witness_a, r.witness_b
+                assert r.actual is w.table[a | b if r.kind == "union" else a & b]
+                assert r.required is w.table[a] or r.required is w.table[b]
+            seen.add((n, not reports, below))
+    assert seen == set(product(range(4, 8), (True, False), (True, False)))
+
+
+def test_a_sparse_table_at_the_size_cap_is_listed_without_the_decision(separations):
+    # About 60 entries at n = N_MAX: the pair scan over them and the boundary
+    # is the whole verification, and matches a plain loop over those masks.
+    n, rng = ptop.N_MAX, rng_for(3320)
+    entries = {}
+    while len(entries) < 60:
+        mask = rng.below(1 << n)
+        if 0 < mask < (1 << n) - 1:
+            entries[mask] = PALETTE_LEVELS[1 + rng.below(9)]
+    w = build(n, entries.items())
+    assert _below_the_edge(w)
+    reports = verify_pairwise(w)
+    assert separations["_separation"] == 0
+    t, cand = w.table, [0, *sorted(entries), (1 << n) - 1]
+    expected = [
+        (kind, a, b, min(t[a], t[b]), t[op(a, b)])
+        for kind, op in (("union", int.__or__), ("intersection", int.__and__))
+        for i, a in enumerate(cand)
+        for b in cand[i:]
+        if t[op(a, b)] < min(t[a], t[b])
+    ]
+    assert expected
+    assert [(r.kind, r.witness_a, r.witness_b, r.required, r.actual) for r in reports] == expected
+
+
+def test_the_listing_edge_keeps_below_the_listing_cap(separations):
+    # 4 |C|^2 <= n 2^n keeps |C| <= 2,289 at n <= N_MAX, under 2^PAIRWISE_CAP,
+    # so a table over the cap is always decided first and CapExceeded comes
+    # only from an invalid one: at n = 14, the 2^13 subsets of points 0-12
+    # and the full set, valid, then with one subset lowered.
+    assert max(math.isqrt((n << n) // 4) for n in range(ptop.N_MAX + 1)) == 2289
+    assert 2290 < 1 << ptop.core.PAIRWISE_CAP
+    n = 14
+    opens = [*range(1 << 13), (1 << n) - 1]
+    p = from_topology(n, opens)
+    assert verify_pairwise(p) == [] and separations["_separation"] == 1
+    table = list(p.table)
+    table[0b111] = 0.5
+    with pytest.raises(CapExceeded):
+        verify_pairwise(WeightTable(n, tuple(table)))
+    assert separations["_separation"] == 2
 
 
 def test_verify_exhaustive_examples():
