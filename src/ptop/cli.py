@@ -15,10 +15,7 @@ from pathlib import Path
 from .core import (
     FamilyViolation,
     ViolationReport,
-    _candidates,
-    _decide,
-    _listing,
-    _violation,
+    _scan,
     as_pspace,
     complete,
     verify_exhaustive,
@@ -79,33 +76,32 @@ def _parse_threshold(text: str) -> float:
 
 
 def cmd_validate(args) -> int:
-    """Print the violations, or "ok": pair lines stream per row block, one format per distinct value.
+    """Print the violations of :func:`_scan`, or "ok": pair lines stream per block, one format per distinct value.
 
-    Above the listing cap the checkpoint's one violation is printed, with a note on stderr.
+    Above the listing cap the violation carried by :class:`CapExceeded` is printed, with a note on stderr.
     """
     w = parse_pspace(_read(args.file))
     if args.exhaustive:
         lines = [_family_line(v) for v in verify_exhaustive(w)]
         print("\n".join(lines) if lines else "ok")
         return 1 if lines else 0
-    units, recon = _decide(w)
-    if not units and recon is None:
-        print("ok")
-        return 0
-    t = w._array()
-    cand = _candidates(t)
     try:
-        blocks = _listing(t, cand)
+        units, cand, blocks = _scan(w)
     except CapExceeded as exc:
         print(f"note: {exc}; one violation is shown", file=sys.stderr)
-        print(_pair_line(_violation(w, units, recon)))
+        print(_pair_line(exc.violation))
         return 1
     sys.stdout.write("".join(_pair_line(r) + "\n" for r in units))
-    texts = _formatted(t)
+    texts = None
     for kind, a, b, low, target in blocks:
-        rows = zip(cand[a].tolist(), cand[b].tolist(), cand[low].tolist(), target.tolist())
-        sys.stdout.write("".join(f"{kind} {x} {y} required {texts[r]} actual {texts[v]}\n" for x, y, r, v in rows))
-    return 1
+        if a.size:
+            texts = texts or _formatted(w._array())
+            rows = zip(cand[a].tolist(), cand[b].tolist(), cand[low].tolist(), target.tolist())
+            sys.stdout.write("".join(f"{kind} {x} {y} required {texts[r]} actual {texts[v]}\n" for x, y, r, v in rows))
+    if units or texts:
+        return 1
+    print("ok")
+    return 0
 
 
 def cmd_complete(args) -> int:

@@ -27,9 +27,9 @@ those valued strictly above m, the least non-NaN value: a pair violation
 has t[A op B] < min(t[A], t[B]), NaN compares false and the minimum
 propagates it, so t[A op B] >= m and both t[A] and t[B] exceed m.  The
 listing scans the upper triangle of C x C in O(|C|^2), and so decides too:
-a table with no range, boundary or pair report is valid.  So
-:func:`verify_pairwise` only lists when 4 |C|^2 <= n 2^n, and above that
-edge decides first and lists an invalid table only.  The factor 4 is the
+a table with no range, boundary or pair report is valid.  So :func:`_scan`, for
+both :func:`verify_pairwise` and ``ptop validate``, only lists when 4 |C|^2 <= n 2^n,
+and above that edge decides first and lists an invalid table only.  The factor 4 is the
 measured cost ratio at n = 16: about 5-13 ns per scanned pair cell against
 2.2-3.1 ns for each of the decision's 2 n 2^n cells.  The edge is |C| <= 50
 at n = 10 and |C| <= 2,289 at n = 20, below the listing cap.  Past the
@@ -397,10 +397,10 @@ def _decide(w: WeightTable) -> tuple[list[ViolationReport], np.ndarray | None]:
     """(unit reports, recon(T_w)): the one decision of validity, O(n 2^n); a space has neither.
 
     recon(T_w) is left out when a unit report comes first, and when ``w``
-    equals it (see the module docstring).  The checkpoint (:func:`as_pspace`,
-    :class:`PSpace`) and ``ptop validate`` always decide here: both name a
-    violation from recon(T_w) (:func:`_violation`), the latter above the
-    listing cap.  :func:`verify_pairwise` decides here above its listing edge only.
+    equals it (see the module docstring).  Called by the checkpoint
+    (:func:`_check_axioms`) and by :func:`_scan` above its listing edge;
+    both name a violation from recon(T_w) (:func:`_violation`), the latter
+    above the listing cap.
     """
     _check_table(w)
     t = w._array()
@@ -429,19 +429,29 @@ def _violation(w: WeightTable, units, recon) -> ViolationReport | None:
     return ViolationReport(kind, a, b, min(w.table[a], w.table[b]), actual)
 
 
-def _candidates(t: np.ndarray) -> np.ndarray:
-    """The masks valued above the least non-NaN value, the only parts of pair reports; none if all are NaN."""
-    return np.nonzero(t > np.fmin.reduce(t))[0]  # fmin skips NaN, and gives NaN on an all-NaN table
+def _scan(w: WeightTable):
+    """(unit reports, candidates C, pair blocks): the one choice between listing and deciding first.
 
-
-def _listing(t: np.ndarray, cand: np.ndarray):
-    """The :func:`_pair_reports` blocks over ``cand``, the one listing order; :class:`CapExceeded` comes before any block."""
-    if cand.size > 1 << PAIRWISE_CAP:
+    C holds the masks valued above the least non-NaN value.  When 4 |C|^2 <= n 2^n
+    the blocks (:func:`_pair_reports`) are the decision; above that edge ``w`` is
+    decided first (:func:`_decide`), and a space comes back with no C.  An invalid
+    table with more than 2^PAIRWISE_CAP candidates, all above the edge, raises
+    :class:`CapExceeded` before any block, carrying the checkpoint's :func:`_violation`.
+    """
+    _check_table(w)
+    t = w._array()
+    cand = np.nonzero(t > np.fmin.reduce(t))[0]  # fmin skips NaN, and gives NaN on an all-NaN table
+    if 4 * cand.size**2 <= w.n << w.n:
+        return _unit_reports(t), cand, _pair_reports(t, cand)
+    units, recon = _decide(w)
+    if not units and recon is None:
+        cand = cand[:0]
+    elif cand.size > 1 << PAIRWISE_CAP:
         raise CapExceeded(
-            f"listing the violations of {cand.size} candidate masks is capped at "
-            f"2^{PAIRWISE_CAP}"
+            f"listing the violations of {cand.size} candidate masks is capped at 2^{PAIRWISE_CAP}",
+            _violation(w, units, recon),
         )
-    return _pair_reports(t, cand)
+    return units, cand, _pair_reports(t, cand)
 
 
 def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
@@ -450,16 +460,14 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     Union and intersection violations are listed by scanning the pairs of
     the candidate masks C, those valued strictly above the table's least
     non-NaN value, in O(|C|^2), upper triangle only; a table without
-    reports is valid.  When 4 |C|^2 <= n 2^n the scan is the decision.
-    Above that edge validity is decided first, in O(n 2^n) (:func:`_decide`),
-    and only an invalid table goes on to the scan: a pair cell costs the
-    scan about four times what a cell costs the decision (see the module
+    reports is valid.  :func:`_scan`, shared with ``ptop validate``, decides
+    first, in O(n 2^n), only above the edge 4 |C|^2 <= n 2^n (see the module
     docstring).  Each pair report then costs about as much as the report
     object itself, its slots filled without its constructor from the
     table's own values; the collector is paused while the list grows, and
-    its state is restored on return or raise.  :class:`CapExceeded` is
-    raised when an invalid table has more than 2^PAIRWISE_CAP candidates;
-    the edge keeps every table with that many above it.
+    its state is restored on return or raise.  :class:`CapExceeded`,
+    carrying one violation, is raised when an invalid table has more than
+    2^PAIRWISE_CAP candidates.
 
     Report order is deterministic: range (ascending mask), boundary
     (empty then full), union pairs in lexicographic (A, B) order with
@@ -468,16 +476,7 @@ def verify_pairwise(w: WeightTable) -> list[ViolationReport]:
     A pair with a NaN part is never reported, since its required value,
     the minimum of the parts, is NaN.
     """
-    _check_table(w)
-    t = w._array()
-    cand = _candidates(t)
-    if 4 * cand.size**2 <= w.n << w.n:
-        reports = _unit_reports(t)
-    else:
-        reports, recon = _decide(w)
-        if not reports and recon is None:
-            return reports
-    blocks = _listing(t, cand)
+    reports, cand, blocks = _scan(w)
     # The table's floats and one int per candidate; only A op B, maybe no candidate, is looked up per report.
     table = w.table
     masks = cand.astype(object)

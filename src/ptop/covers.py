@@ -51,7 +51,7 @@ class CoverDefect:
     """Why a family is not a q-cover.
 
     ``uncovered-point`` carries the lowest point missed by the union;
-    ``low-probability`` carries the smallest member mask below threshold.
+    ``low-probability`` carries the smallest member whose value is not at least q, NaN included.
     """
 
     kind: Literal["uncovered-point", "low-probability"]
@@ -76,7 +76,7 @@ def qcover_witness(p: WeightTable, cover: Cover, q: float) -> CoverDefect | None
     if missed:
         return CoverDefect("uncovered-point", point=next(bits(missed)))
     for m in sorted(cover.members):
-        if p.table[m] < q:
+        if not p.table[m] >= q:  # a NaN value or threshold fails, as in level_cut
             return CoverDefect("low-probability", mask=m)
     return None
 

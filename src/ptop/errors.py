@@ -24,7 +24,11 @@ class DuplicateMask(PtopError):
 
 
 class CapExceeded(PtopError):
-    """An operation was asked to run above its documented size cap."""
+    """An operation was asked to run above its documented size cap; above the listing cap, carries one violation, as ``violation``."""
+
+    def __init__(self, message: str, violation=None):
+        super().__init__(message)
+        self.violation = violation
 
 
 class NotASubset(PtopError):

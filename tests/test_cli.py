@@ -4,10 +4,21 @@ from itertools import combinations
 import pytest
 
 import ptop.core
-from ptop import WeightTable, build, complete, format_probability, random_pspace, serialize_pspace, verify_pairwise
+from ptop import (
+    CapExceeded,
+    NotAPSpace,
+    WeightTable,
+    as_pspace,
+    build,
+    complete,
+    format_probability,
+    random_pspace,
+    serialize_pspace,
+    verify_pairwise,
+)
 from ptop.cli import _pair_line, main
 
-from oracles import rng_for
+from oracles import PALETTE_LEVELS, rng_for
 
 P1_DOC = "ptop 1\nn 2\n1 0.5\n2 0.3\n"
 BAD_DOC = "ptop 1\nn 3\n1 0.8\n2 0.7\n3 0.2\n"
@@ -119,6 +130,18 @@ def test_validate_gives_a_verdict_above_the_listing_cap(files, capsys, n, dense)
             assert out == "union 5 6 required 0.9999 actual 0\n"
 
 
+@pytest.mark.parametrize("n", [14, 20])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_a_capped_listing_carries_the_checkpoints_violation(n, dense):
+    w = above_the_cap(n, dense)
+    with pytest.raises(CapExceeded) as capped:
+        verify_pairwise(w)
+    with pytest.raises(NotAPSpace) as refused:
+        as_pspace(w)
+    assert capped.value.violation is not None
+    assert capped.value.violation == refused.value.violation
+
+
 def test_a_capped_listing_never_prints_half_way(files, capsys, monkeypatch):
     # Both boundary lines come before any pair in a listing; above the cap
     # only the first one is printed, and no pair block is ever started.
@@ -172,6 +195,37 @@ def test_validate_decides_validity_once(files, capsys, counted, make, code, line
     assert (got, out.count("\n"), got_err) == (code, lines, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert counted == {"_separation": 1, "_mask_defect": defects}
+
+
+def sparse_n20(valid):
+    """A table at n = 20 valued from the palette on a chain of 19 masks, so a
+    space, or on about 60 seeded masks, with 3,520 violations."""
+    rng = rng_for(3401)
+    if valid:
+        masks = [(1 << k) - 1 for k in range(1, 20)]
+    else:
+        masks = {rng.below((1 << 20) - 2) + 1 for _ in range(60)}
+    return build(20, [(m, PALETTE_LEVELS[1 + rng.below(9)]) for m in masks])
+
+
+@pytest.mark.parametrize(
+    "valid, code, lines, digest",
+    [
+        (True, 0, 1, "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22"),
+        (False, 1, 3520, "302e3f79e37e16b1e4b7516a23653a8809ec4cdce325eb780ab4df6f7a41a996"),
+    ],
+    ids=["valid", "invalid"],
+)
+def test_validate_lists_a_sparse_table_without_deciding(files, capsys, counted, valid, code, lines, digest):
+    # Below the listing edge the listing is the decision, in validate as in
+    # verify_pairwise, so the O(n 2^n) decision never runs.
+    path = files["dir"] / "w.ptop"
+    path.write_text(serialize_pspace(sparse_n20(valid)), encoding="utf-8")
+    counted.update(_separation=0, _mask_defect=0)
+    got, out, err = run(capsys, "validate", str(path))
+    assert (got, out.count("\n"), err) == (code, lines, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert counted == {"_separation": 0, "_mask_defect": 0}
 
 
 def test_verify_pairwise_names_no_cut_defect(counted):

@@ -8,6 +8,7 @@ import pytest
 
 from ptop import (
     Cover,
+    CoverDefect,
     SplitMix64,
     DimensionMismatch,
     DuplicateMask,
@@ -18,9 +19,11 @@ from ptop import (
     disconnection_witness,
     from_topology,
     is_qconnected,
+    level_cut,
     min_subcover,
     qcover_witness,
     random_pspace,
+    WeightTable,
 )
 from oracles import (
     PALETTE_LEVELS,
@@ -72,6 +75,32 @@ def test_qcover_monotone_downward_in_q_on_many_level_spaces(w, data):
     lo, hi = sorted((data.draw(level), data.draw(level)))
     if qcover_witness(w, cover, hi) is None:
         assert qcover_witness(w, cover, lo) is None
+
+
+def test_a_nan_value_or_threshold_is_not_at_least_q():
+    # Members must have value at least q, the cut level_cut collects; NaN
+    # compares false both ways, so a NaN value or threshold fails the test.
+    nan = float("nan")
+    w = WeightTable(2, (1.0, nan, 0.0, 1.0))
+    assert level_cut(w, 0.5) == {0, 3}
+    assert qcover_witness(w, Cover(2, (1, 3)), 0.5) == CoverDefect("low-probability", mask=1)
+    assert qcover_witness(random_pspace(3, 3, 5), Cover(3, (7,)), nan) == CoverDefect("low-probability", mask=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spiked_tables(), st.data())
+def test_a_covering_cover_is_a_qcover_exactly_inside_the_level_cut(w, data):
+    # Tables hold a NaN and other spikes; singletons complete the drawn members to a cover.
+    table = list(w.table)
+    table[data.draw(st.integers(0, len(table) - 1))] = float("nan")
+    w = WeightTable(w.n, tuple(table))
+    members = data.draw(st.sets(st.integers(0, len(table) - 1), max_size=4))
+    covered = 0
+    for m in members:
+        covered |= m
+    members |= {1 << x for x in range(w.n) if not covered >> x & 1}
+    q = data.draw(st.sampled_from(PALETTE_LEVELS) | st.floats(0, 1))
+    assert (qcover_witness(w, Cover(w.n, tuple(members)), q) is None) == (members <= level_cut(w, q))
 
 
 def test_min_subcover_examples():

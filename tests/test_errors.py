@@ -58,6 +58,7 @@ from ptop import (
     subspace,
     topology_closure,
     topology_defect,
+    verify_exhaustive,
     verify_pairwise,
 )
 from ptop.fileio import _parse_probability_token
@@ -254,6 +255,15 @@ def test_level_count_is_capped_at_the_most_values_a_table_holds():
     assert str(err.value) == f"level count {2**70} exceeds cap 2^{N_MAX}"
     with pytest.raises(CapExceeded):
         random_pspace(3, (1 << N_MAX) + 1, 0)
+
+
+def test_only_the_listing_cap_carries_a_violation():
+    # A capped listing carries the checkpoint's one violation (test_cli);
+    # the ground-size, family-scan and level-count caps have none to carry.
+    for call in (lambda: build(N_MAX + 1, []), lambda: verify_exhaustive(build(5, [])), lambda: random_pspace(3, 2**70, 0)):
+        with pytest.raises(CapExceeded) as err:
+            call()
+        assert err.value.violation is None
 
 
 def test_numpy_integers_pass_as_sizes_masks_and_points():

@@ -266,6 +266,33 @@ def test_one_function_compares_families_with_their_closure():
     assert sorted(set(callers)) == ["core._first_defect", "generate._chain", "generate.topology_closure"]
 
 
+def test_one_function_chooses_between_listing_and_deciding():
+    # core._scan decides whether to list a table undecided or to decide it
+    # first; the CLI reaches core's private names through it alone, and the
+    # decision itself is called only there and at the checkpoint.
+    private = []
+    callers = []
+    for path in sorted(Path(ptop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "cli.py":
+            private += [
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "core"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_decide"
+                ]
+    assert private == ["_scan"]
+    assert sorted(callers) == ["core._check_axioms", "core._scan"]
+
+
 def test_library_reads_no_environment():
     # The library's behaviour depends on its arguments alone: no environment
     # variable sets a cap or an option, so the suite and the benchmark give the
